@@ -59,17 +59,16 @@
 //                 rebuild-path comparison: the mode the CI scaling smoke
 //                 and the scaling-audit job run across worker counts,
 //                 comparing metrics_fnv1a per row name across runs
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "circuits/benchmarks.hpp"
 #include "common.hpp"
 #include "linalg/dense_pivot_lu.hpp"
@@ -84,25 +83,6 @@
 #include "stats/descriptive.hpp"
 #include "util/fnv1a.hpp"
 #include "util/rusage.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> gAllocCount{0};
-
-}  // namespace
-
-// Global allocation hooks (same scheme as bench_newton_hotpath): count
-// every heap allocation so allocs/sample is exact.
-void* operator new(std::size_t size) {
-  gAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vsstat {
 namespace {
@@ -145,16 +125,16 @@ constexpr int kWarmSamples = 4;
 CampaignTiming timeCampaign(int samples,
                             const std::function<mc::McResult(int)>& run) {
   (void)run(kWarmSamples);  // warmup
-  const std::uint64_t base0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t base0 = bench::allocCount();
   (void)run(kWarmSamples);  // fixed campaign cost + kWarmSamples marginals
-  const std::uint64_t base1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t base1 = bench::allocCount();
 
-  const std::uint64_t allocs0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = bench::allocCount();
   const auto t0 = Clock::now();
   CampaignTiming t;
   t.result = run(samples);
   const auto t1 = Clock::now();
-  const std::uint64_t allocs1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs1 = bench::allocCount();
 
   const double us = static_cast<double>(
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
@@ -587,14 +567,14 @@ FactorProbe probeFactor(int edge, int factorReps, bool withDense) {
   lu.refactor(m);  // pays the one-time ordering; cached across reset()
   lu.reset();
   lu.refactor(m);  // warm: every work array at capacity
-  const std::uint64_t allocs0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = bench::allocCount();
   const auto t0 = Clock::now();
   for (int i = 0; i < factorReps; ++i) {
     lu.reset();
     lu.refactor(m);
   }
   const auto t1 = Clock::now();
-  const std::uint64_t allocs1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs1 = bench::allocCount();
   p.freshFactorUs =
       static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)

@@ -4,7 +4,7 @@
 // operating point:
 //
 //   *_legacy    -- the pre-refactor shape: scatter the Jacobian to a dense
-//                  matrix, construct a fresh LuFactorization (heap-allocating
+//                  matrix, construct a fresh DenseLu (heap-allocating
 //                  copy + pivot array), allocate the step vector per solve.
 //   *_workspace -- the current hot path: assemble into the captured CSR
 //                  pattern and reuse the per-assembler NewtonWorkspace
@@ -16,14 +16,12 @@
 // workspace path must report 0).  Future PRs track these in BENCH_*.json.
 //
 // Usage: bench_newton_hotpath [--quick]
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 
+#include "alloc_count.hpp"
 #include "circuits/benchmarks.hpp"
 #include "circuits/provider.hpp"
 #include "linalg/lu.hpp"
@@ -32,25 +30,6 @@
 #include "spice/analysis.hpp"
 #include "spice/assembler.hpp"
 #include "spice/elements.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> gAllocCount{0};
-
-}  // namespace
-
-// Global allocation hooks: count every heap allocation so the bench can
-// verify the steady-state Newton iteration allocates nothing.
-void* operator new(std::size_t size) {
-  gAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vsstat {
 namespace {
@@ -79,11 +58,11 @@ template <typename IterFn>
 IterResult timeIterations(IterFn&& iteration, int iters) {
   for (int i = 0; i < 16; ++i) iteration();  // warmup: reach steady state
 
-  const std::uint64_t allocs0 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = bench::allocCount();
   const auto t0 = Clock::now();
   for (int i = 0; i < iters; ++i) iteration();
   const auto t1 = Clock::now();
-  const std::uint64_t allocs1 = gAllocCount.load(std::memory_order_relaxed);
+  const std::uint64_t allocs1 = bench::allocCount();
 
   IterResult r;
   r.nsPerIter =
@@ -112,7 +91,7 @@ void benchConfiguration(const std::string& name,
       assembler.assemble(x);
       assembler.scatterJacobian(dense);
       linalg::Vector dx =
-          linalg::LuFactorization(dense).solve(assembler.residual());
+          linalg::DenseLu(dense).solve(assembler.residual());
       (void)dx;
     };
     emit(name + "_legacy", timeIterations(legacy, iters));

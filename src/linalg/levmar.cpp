@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "linalg/lu.hpp"
 #include "util/error.hpp"
 
 namespace vsstat::linalg {
@@ -28,45 +29,6 @@ double costOf(const Vector& r) {
 bool allFinite(const Vector& v) {
   for (double e : v)
     if (!std::isfinite(e)) return false;
-  return true;
-}
-
-/// In-place dense LU solve with partial pivoting on the damped normal
-/// matrix (a is n x n row-major, overwritten; b becomes the solution).
-/// Returns false -- a untouched semantics don't matter, caller rebuilds it
-/// -- when a pivot column is exactly zero: with the Marquardt diagonal
-/// boost this means the damped system is singular at working precision.
-bool solveInPlaceLu(double* a, int* pivot, double* b, std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t p = k;
-    double best = std::fabs(a[k * n + k]);
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double v = std::fabs(a[i * n + k]);
-      if (v > best) {
-        best = v;
-        p = i;
-      }
-    }
-    if (!(best > 0.0)) return false;  // zero or NaN pivot column
-    pivot[k] = static_cast<int>(p);
-    if (p != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(a[k * n + j], a[p * n + j]);
-      std::swap(b[k], b[p]);
-    }
-    const double inv = 1.0 / a[k * n + k];
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double f = a[i * n + k] * inv;
-      if (f == 0.0) continue;
-      a[i * n + k] = f;
-      for (std::size_t j = k + 1; j < n; ++j) a[i * n + j] -= f * a[k * n + j];
-      b[i] -= f * b[k];
-    }
-  }
-  for (std::size_t k = n; k-- > 0;) {
-    double s = b[k];
-    for (std::size_t j = k + 1; j < n; ++j) s -= a[k * n + j] * b[j];
-    b[k] = s / a[k * n + k];
-  }
   return true;
 }
 
@@ -185,13 +147,17 @@ void levenbergMarquardt(const ResidualFn& fn, const Vector& x0,
       std::copy(ws.h.begin(), ws.h.end(), ws.hDamped.begin());
       for (std::size_t j = 0; j < n; ++j)
         ws.hDamped[j * n + j] += lambda * std::max(ws.h[j * n + j], 1e-12);
-      std::copy(ws.g.begin(), ws.g.end(), ws.step.begin());
-      if (!solveInPlaceLu(ws.hDamped.data(), ws.pivot.data(), ws.step.data(),
-                          n)) {
+      // A zero (or NaN) pivot column means that, even with the Marquardt
+      // diagonal boost, the damped system is singular at working precision.
+      if (DenseLu::factorInPlace(ws.hDamped.data(), ws.pivot.data(), n, 0.0) <
+          n) {
         ++singularAttempts;
         lambda *= options.lambdaUp;
         continue;
       }
+      std::copy(ws.g.begin(), ws.g.end(), ws.step.begin());
+      DenseLu::solveFactored(ws.hDamped.data(), ws.pivot.data(),
+                             ws.step.data(), n);
 
       for (std::size_t j = 0; j < n; ++j) ws.xTrial[j] = x[j] - ws.step[j];
       clampToBounds(ws.xTrial, lo, hi);

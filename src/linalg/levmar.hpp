@@ -65,7 +65,7 @@ struct LevMarWorkspace {
   Vector jacobian;  ///< m x n, row-major
   Vector g, step;
   Vector h, hDamped;  ///< n x n, row-major
-  std::vector<int> pivot;
+  std::vector<std::size_t> pivot;  ///< DenseLu row interchanges
 };
 
 /// Minimizes 0.5*||r(x)||^2 starting from x0.  `residualSize` is the fixed

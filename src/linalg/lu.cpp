@@ -1,5 +1,6 @@
 #include "linalg/lu.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -7,13 +8,12 @@
 
 namespace vsstat::linalg {
 
-LuFactorization::LuFactorization(Matrix a, double pivotTolerance)
-    : lu_(std::move(a)) {
+DenseLu::DenseLu(Matrix a, double pivotTolerance) : lu_(std::move(a)) {
   factorize(pivotTolerance);
 }
 
-void LuFactorization::refactor(const Matrix& a, double pivotTolerance) {
-  require(a.rows() == a.cols(), "LU: matrix must be square");
+void DenseLu::refactor(const Matrix& a, double pivotTolerance) {
+  require(a.rows() == a.cols(), "DenseLu: matrix must be square");
   const std::size_t n = a.rows();
   if (lu_.rows() != n || lu_.cols() != n) {
     lu_ = Matrix(n, n);
@@ -22,78 +22,90 @@ void LuFactorization::refactor(const Matrix& a, double pivotTolerance) {
   factorize(pivotTolerance);
 }
 
-void LuFactorization::factorize(double pivotTolerance) {
-  require(lu_.rows() == lu_.cols(), "LU: matrix must be square");
+void DenseLu::factorize(double pivotTolerance) {
+  require(lu_.rows() == lu_.cols(), "DenseLu: matrix must be square");
   const std::size_t n = lu_.rows();
   pivots_.resize(n);
-  pivotSign_ = 1;
+  const std::size_t done =
+      factorInPlace(lu_.data(), pivots_.data(), n, pivotTolerance);
+  if (done < n) {
+    throw SingularMatrixError(
+        "DenseLu: matrix is singular to working precision",
+        static_cast<int>(done));
+  }
+}
 
+std::size_t DenseLu::factorInPlace(double* a, std::size_t* pivots,
+                                   std::size_t n,
+                                   double pivotTolerance) noexcept {
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivot: largest magnitude in column k at/below the diagonal.
     std::size_t p = k;
-    double best = std::fabs(lu_(k, k));
+    double best = std::fabs(a[k * n + k]);
     for (std::size_t i = k + 1; i < n; ++i) {
-      const double v = std::fabs(lu_(i, k));
+      const double v = std::fabs(a[i * n + k]);
       if (v > best) {
         best = v;
         p = i;
       }
     }
-    if (best < pivotTolerance) {
-      throw ConvergenceError("LU: matrix is singular to working precision",
-                             static_cast<int>(k));
-    }
-    pivots_[k] = p;
+    // Negated comparison so a NaN pivot is caught as well as a zero one.
+    if (!(best > pivotTolerance)) return k;
+    pivots[k] = p;
     if (p != k) {
-      pivotSign_ = -pivotSign_;
-      for (std::size_t j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(p, j));
+      for (std::size_t j = 0; j < n; ++j) std::swap(a[k * n + j], a[p * n + j]);
     }
-    const double diag = lu_(k, k);
+    const double inv = 1.0 / a[k * n + k];
     for (std::size_t i = k + 1; i < n; ++i) {
-      const double m = lu_(i, k) / diag;
-      lu_(i, k) = m;
-      if (m == 0.0) continue;
-      for (std::size_t j = k + 1; j < n; ++j) lu_(i, j) -= m * lu_(k, j);
+      const double f = a[i * n + k] * inv;
+      a[i * n + k] = f;
+      if (f == 0.0) continue;
+      for (std::size_t j = k + 1; j < n; ++j) a[i * n + j] -= f * a[k * n + j];
     }
+  }
+  return n;
+}
+
+void DenseLu::solveFactored(const double* lu, const std::size_t* pivots,
+                            double* b, std::size_t n) noexcept {
+  // Row interchanges, then the column sweep of L's multipliers (unit
+  // diagonal): per entry, the same subtractions in the same order as
+  // eliminating b alongside the matrix would perform.
+  for (std::size_t k = 0; k < n; ++k) {
+    if (pivots[k] != k) std::swap(b[k], b[pivots[k]]);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double f = lu[i * n + k];
+      if (f == 0.0) continue;
+      b[i] -= f * b[k];
+    }
+  }
+  for (std::size_t k = n; k-- > 0;) {
+    double s = b[k];
+    for (std::size_t j = k + 1; j < n; ++j) s -= lu[k * n + j] * b[j];
+    b[k] = s / lu[k * n + k];
   }
 }
 
-Vector LuFactorization::solve(const Vector& b) const {
+Vector DenseLu::solve(const Vector& b) const {
   Vector x = b;
   solveInPlace(x);
   return x;
 }
 
-void LuFactorization::solveInPlace(Vector& x) const {
-  const std::size_t n = lu_.rows();
-  require(x.size() == n, "LU solve: rhs size mismatch");
-
-  // Apply row permutation.
-  for (std::size_t k = 0; k < n; ++k) {
-    if (pivots_[k] != k) std::swap(x[k], x[pivots_[k]]);
-  }
-  // Forward substitution (L has unit diagonal).
-  for (std::size_t i = 1; i < n; ++i) {
-    double s = x[i];
-    for (std::size_t j = 0; j < i; ++j) s -= lu_(i, j) * x[j];
-    x[i] = s;
-  }
-  // Back substitution.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= lu_(ii, j) * x[j];
-    x[ii] = s / lu_(ii, ii);
-  }
+void DenseLu::solveInPlace(Vector& x) const {
+  require(x.size() == lu_.rows(), "DenseLu solve: rhs size mismatch");
+  solveFactored(lu_.data(), pivots_.data(), x.data(), x.size());
 }
 
-double LuFactorization::determinant() const noexcept {
-  double d = pivotSign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) d *= lu_(i, i);
+double DenseLu::determinant() const noexcept {
+  double d = 1.0;
+  for (std::size_t i = 0; i < lu_.rows(); ++i) {
+    d *= lu_(i, i);
+    if (pivots_[i] != i) d = -d;
+  }
   return d;
-}
-
-Vector luSolve(const Matrix& a, const Vector& b) {
-  return LuFactorization(a).solve(b);
 }
 
 }  // namespace vsstat::linalg

@@ -208,7 +208,8 @@ mc::McResult CampaignPlan::run(sim::SessionPool<DeckFixture>& pool,
         spice::TransientOptions topt;
         topt.dt = tran->first;
         topt.tStop = tran->second;
-        static thread_local spice::Waveform wf(0);
+        // Any valid node count will do: transient() re-arms the record.
+        static thread_local spice::Waveform wf(1);
         spice.transient(topt, wf);
         for (std::size_t m = 0; m < probes.size(); ++m)
           out[m] = wf.finalValue(probes[m]);

@@ -1,7 +1,10 @@
 #include "spice/ac.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "spice/assembler.hpp"
 #include "spice/elements.hpp"
@@ -48,6 +51,10 @@ SmallSignalSystem::SmallSignalSystem(const Circuit& circuit,
   // Two assemblies on a one-shot assembler: not worth bank construction.
   detail::Assembler assembler(circuit, /*useDeviceBank=*/false);
   const linalg::Vector x = flatten(circuit, op);
+  pattern_ = assembler.pattern();
+  g_ = linalg::SparseMatrix(pattern_);
+  c_ = linalg::SparseMatrix(pattern_);
+  const std::size_t nnz = pattern_.nonZeroCount();
 
   // G: Jacobian with all charge terms off.  A tiny gmin keeps the later
   // complex factorization healthy when a node is conductively floating; it
@@ -57,7 +64,8 @@ SmallSignalSystem::SmallSignalSystem(const Circuit& circuit,
   assembler.setSourceScale(1.0);
   assembler.setGmin(1e-12);
   assembler.assemble(x);
-  assembler.scatterJacobian(g_);
+  for (std::size_t s = 0; s < nnz; ++s)
+    g_.setAt(static_cast<std::int32_t>(s), assembler.jacobian().values()[s]);
 
   // C: with backward Euler at h = 1 the elements stamp Jacobian terms
   // G + 1 * dQ/dv, so the difference recovers dQ/dv without any numeric
@@ -65,22 +73,69 @@ SmallSignalSystem::SmallSignalSystem(const Circuit& circuit,
   assembler.commitCharges();
   assembler.setBackwardEuler(1.0);
   assembler.assemble(x);
-  assembler.scatterJacobian(c_);
-  c_ -= g_;
+  for (std::size_t s = 0; s < nnz; ++s)
+    c_.setAt(static_cast<std::int32_t>(s),
+             assembler.jacobian().values()[s] - g_.values()[s]);
+
+  // Real block form [G -wC; wC G]: every MNA slot (r, c) appears once in
+  // each of the four n x n blocks.
+  const std::size_t n = numUnknowns_;
+  std::vector<std::pair<std::size_t, std::size_t>> coords;
+  coords.reserve(4 * nnz);
+  for (std::size_t s = 0; s < nnz; ++s) {
+    const std::size_t r = pattern_.rowIndex()[s];
+    const std::size_t c = pattern_.colIndex()[s];
+    coords.emplace_back(r, c);
+    coords.emplace_back(r, c + n);
+    coords.emplace_back(r + n, c);
+    coords.emplace_back(r + n, c + n);
+  }
+  blockPattern_ = linalg::SparsePattern(2 * n, coords);
+  block_ = linalg::SparseMatrix(blockPattern_);
+  rhs_.resize(2 * n);
 }
 
 linalg::ComplexVector SmallSignalSystem::solve(
     double frequencyHz, const linalg::ComplexVector& excitation) const {
   require(excitation.size() == numUnknowns_,
           "SmallSignalSystem::solve: excitation size mismatch");
+  const std::size_t n = numUnknowns_;
   const double omega = 2.0 * std::numbers::pi * frequencyHz;
-  linalg::ComplexMatrix a(numUnknowns_, numUnknowns_);
-  for (std::size_t r = 0; r < numUnknowns_; ++r) {
-    for (std::size_t c = 0; c < numUnknowns_; ++c) {
-      a(r, c) = linalg::Complex(g_(r, c), omega * c_(r, c));
+
+  // Block row r holds MNA row r's columns c, then its columns c + n (CSR
+  // order), so each MNA slot maps to fixed offsets in rows r and r + n.
+  const auto& rowStart = pattern_.rowStart();
+  const auto& blockStart = blockPattern_.rowStart();
+  const auto set = [this](std::size_t slot, double v) {
+    block_.setAt(static_cast<std::int32_t>(slot), v);
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t len = rowStart[r + 1] - rowStart[r];
+    std::size_t top = blockStart[r];
+    std::size_t bottom = blockStart[r + n];
+    for (std::size_t s = rowStart[r]; s < rowStart[r + 1]; ++s) {
+      const double g = g_.values()[s];
+      const double wc = omega * c_.values()[s];
+      set(top, g);
+      set(top++ + len, -wc);
+      set(bottom, wc);
+      set(bottom++ + len, g);
     }
   }
-  return linalg::ComplexLuFactorization(a).solve(excitation);
+  for (std::size_t k = 0; k < n; ++k) {
+    rhs_[k] = excitation[k].real();
+    rhs_[k + n] = excitation[k].imag();
+  }
+
+  // Fresh pivots per frequency; the fill-reducing ordering survives reset().
+  lu_.reset();
+  lu_.refactor(block_);
+  lu_.solveInPlace(rhs_);
+
+  linalg::ComplexVector x(n);
+  for (std::size_t k = 0; k < n; ++k)
+    x[k] = linalg::Complex(rhs_[k], rhs_[k + n]);
+  return x;
 }
 
 linalg::ComplexVector SmallSignalSystem::voltageExcitation(

@@ -4,9 +4,18 @@
 // Newton Jacobian in DC mode and C = dQ/dv is recovered exactly as the
 // difference between a backward-Euler(h=1) assembly and the DC assembly at
 // the same iterate (elements stamp companion terms as c0 * dq/dv, so the
-// difference isolates dq/dv with c0 = 1).  Each sweep point then solves the
-// complex linear system (G + j*2*pi*f*C) x = b, where b places the unit AC
-// excitation on the chosen source.
+// difference isolates dq/dv with c0 = 1).  Both stay sparse, on the MNA
+// pattern the assembler captured.  Each sweep point then solves the complex
+// system (G + j*2*pi*f*C) x = b, where b places the unit AC excitation on
+// the chosen source, in its real 2n x 2n block form
+//
+//   [ G  -wC ] [ Re x ]   [ Re b ]
+//   [ wC   G ] [ Im x ] = [ Im b ],
+//
+// on linalg::SparseLu: the block pattern is built once per system, its
+// fill-reducing ordering is computed once, and every frequency runs a fresh
+// numeric factorization (pivots chosen from that frequency's values), so
+// the cost per point scales with the factor's fill, not with n^3.
 #ifndef VSSTAT_SPICE_AC_HPP
 #define VSSTAT_SPICE_AC_HPP
 
@@ -14,6 +23,8 @@
 #include <vector>
 
 #include "linalg/complex.hpp"
+#include "linalg/sparse.hpp"
+#include "linalg/sparse_lu.hpp"
 #include "spice/analysis.hpp"
 #include "spice/circuit.hpp"
 
@@ -52,13 +63,22 @@ struct AcSweep {
 /// frequencies and excitations.  This is the building block acAnalysis()
 /// uses; it is public so callers can form custom excitations (e.g. noise
 /// or loop-gain probes).
+///
+/// solve() refactors per-instance factor state, so one system must not be
+/// solved from two threads at once -- like spice::SimSession, it belongs to
+/// one thread at a time (campaigns build one system per sample).  The
+/// matrices live on a pattern the system owns, so it is neither copyable
+/// nor movable.
 class SmallSignalSystem {
  public:
   /// Linearizes the circuit at the given operating point.
   SmallSignalSystem(const Circuit& circuit, const OperatingPoint& op);
+  SmallSignalSystem(const SmallSignalSystem&) = delete;
+  SmallSignalSystem& operator=(const SmallSignalSystem&) = delete;
 
   /// Solves (G + j*2*pi*f*C) x = b.  b must have unknownCount entries
-  /// (node rows first, then branch rows).
+  /// (node rows first, then branch rows).  Throws SingularMatrixError when
+  /// the system is singular at this frequency.
   [[nodiscard]] linalg::ComplexVector solve(
       double frequencyHz, const linalg::ComplexVector& excitation) const;
 
@@ -68,10 +88,12 @@ class SmallSignalSystem {
       Circuit& circuit, const std::string& sourceName,
       double magnitude = 1.0) const;
 
-  [[nodiscard]] const linalg::Matrix& conductance() const noexcept {
+  /// G = dF/dv, on the circuit's MNA pattern.
+  [[nodiscard]] const linalg::SparseMatrix& conductance() const noexcept {
     return g_;
   }
-  [[nodiscard]] const linalg::Matrix& capacitance() const noexcept {
+  /// C = dQ/dv, on the same pattern as conductance().
+  [[nodiscard]] const linalg::SparseMatrix& capacitance() const noexcept {
     return c_;
   }
   [[nodiscard]] std::size_t numNodes() const noexcept { return numNodes_; }
@@ -82,8 +104,14 @@ class SmallSignalSystem {
  private:
   std::size_t numNodes_ = 0;
   std::size_t numUnknowns_ = 0;
-  linalg::Matrix g_;  ///< dF/dv at the operating point
-  linalg::Matrix c_;  ///< dQ/dv at the operating point
+  linalg::SparsePattern pattern_;       ///< the assembler's MNA pattern
+  linalg::SparseMatrix g_;              ///< dF/dv at the operating point
+  linalg::SparseMatrix c_;              ///< dQ/dv at the operating point
+  linalg::SparsePattern blockPattern_;  ///< [G -wC; wC G], 2n x 2n
+  // Per-frequency factor state (see the class comment on threading).
+  mutable linalg::SparseMatrix block_;
+  mutable linalg::SparseLu lu_;
+  mutable linalg::Vector rhs_;
 };
 
 /// Full AC analysis: DC operating point, linearization, frequency sweep

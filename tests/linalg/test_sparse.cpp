@@ -187,13 +187,13 @@ TEST(SparseLu, MatchesDenseLuOnRandomSystems) {
     lu.solveInPlace(x);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xTrue[i], 1e-9);
 
-    EXPECT_NEAR(lu.determinant(), LuFactorization(d).determinant(),
+    EXPECT_NEAR(lu.determinant(), DenseLu(d).determinant(),
                 1e-9 * std::max(1.0, std::fabs(lu.determinant())));
   }
 }
 
 TEST(DenseLuRefactor, ReusesStorageAcrossFactorizations) {
-  LuFactorization lu;
+  DenseLu lu;
   lu.refactor(Matrix{{2.0, 0.0}, {0.0, 4.0}});
   EXPECT_DOUBLE_EQ(lu.solve({2.0, 4.0})[0], 1.0);
   lu.refactor(Matrix{{1.0, 0.0}, {0.0, 1.0}});

@@ -1,8 +1,8 @@
 // Campaign-server integration (serve/server.hpp): the protocol core end to
 // end -- classified error frames, streamed campaigns whose final statistics
 // are BIT-equal to a same-seed in-process mc::runCampaign at 1/2/4
-// workers, warm session-cache reuse, and two campaigns interleaving
-// through the shared thread pool.
+// workers (a .tran request too, at 1/2), warm session-cache reuse, and two
+// campaigns interleaving through the shared thread pool.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "mc/circuit_campaign.hpp"
 #include "mc/providers.hpp"
 #include "spice/netlist.hpp"
+#include "spice/waveform.hpp"
 #include "stats/descriptive.hpp"
 
 namespace vsstat::serve {
@@ -190,6 +191,77 @@ TEST(CampaignServer, StreamedFinalStatsBitEqualInProcessCampaign) {
     EXPECT_EQ(frame.find("metrics_fnv1a")->string, refHash);
     EXPECT_DOUBLE_EQ(frame.find("ok")->number,
                      static_cast<double>(kSamples));
+  }
+}
+
+// A two-stage inverter chain driven by a pulse, with a .tran card: the
+// daemon's transient path (measure.analysis "tran").
+constexpr const char* kTranChainDeck =
+    "VDD vdd 0 0.9\n"
+    "VIN n0 0 PULSE(0 0.9 10p 10p 10p 200p)\n"
+    "MP1 n1 n0 vdd pch W=600n L=40n\n"
+    "MN1 n1 n0 0 nch W=300n L=40n\n"
+    "C1 n1 0 1f\n"
+    "MP2 n2 n1 vdd pch W=600n L=40n\n"
+    "MN2 n2 n1 0 nch W=300n L=40n\n"
+    "C2 n2 0 1f\n"
+    ".tran 5p 60p\n"
+    ".model nch vs_nmos\n"
+    ".model pch vs_pmos\n"
+    ".end\n";
+
+TEST(CampaignServer, TranRequestFinalFrameBitEqualsInProcessCampaign) {
+  constexpr int kTranSamples = 16;
+  spice::ParsedNetlist parsed = spice::parseNetlist(kTranChainDeck);
+  const spice::NodeId n2 = parsed.circuit.node("n2");
+  const models::VsParams nmos = *parsed.vsNmos;
+  const models::VsParams pmos = *parsed.vsPmos;
+  spice::TransientOptions topt;
+  topt.dt = parsed.tran->first;
+  topt.tStop = parsed.tran->second;
+
+  for (const unsigned threads : {1u, 2u}) {
+    mc::McOptions opt;
+    opt.samples = kTranSamples;
+    opt.seed = 11;
+    opt.threads = threads;
+    const mc::McResult reference = mc::runCampaign<DeckFixture>(
+        opt, 1,
+        [](circuits::DeviceProvider& p) {
+          return DeckFixture{
+              std::move(spice::parseNetlist(kTranChainDeck, p).circuit)};
+        },
+        [nmos, pmos] {
+          return std::make_unique<mc::VsStatisticalProvider>(
+              nmos, pmos, defaultAlphas(), defaultAlphas(), stats::Rng(1));
+        },
+        [n2, topt](std::size_t, sim::CampaignSession<DeckFixture>& session,
+                   stats::Rng&, std::vector<double>& metrics) {
+          spice::Waveform wf(1);
+          session.spice().transient(topt, wf);
+          metrics[0] = wf.finalValue(n2);
+        });
+    ASSERT_EQ(reference.sampleCount(), static_cast<std::size_t>(kTranSamples))
+        << threads << " workers";
+    const stats::Summary summary = stats::summarize(reference.metrics[0]);
+    char refHash[32];
+    std::snprintf(refHash, sizeof refHash, "0x%016" PRIx64,
+                  metricsFingerprint(reference));
+
+    std::string req = "{\"id\":\"tran\",\"deck\":";
+    appendJsonString(req, kTranChainDeck);
+    req += ",\"samples\":" + std::to_string(kTranSamples) +
+           ",\"seed\":11,\"threads\":" + std::to_string(threads) +
+           ",\"stream_every\":8"
+           ",\"measure\":{\"analysis\":\"tran\",\"probes\":[\"n2\"]}}";
+    CampaignServer server;
+    const JsonValue frame = finalFrameOf(runLine(server, req));
+    ASSERT_EQ(frame.find("type")->string, "final") << threads << " workers";
+    EXPECT_EQ(frame.find("mean")->number, summary.mean);
+    EXPECT_EQ(frame.find("sigma")->number, summary.stddev);
+    EXPECT_EQ(frame.find("metrics_fnv1a")->string, refHash);
+    EXPECT_DOUBLE_EQ(frame.find("ok")->number,
+                     static_cast<double>(kTranSamples));
   }
 }
 

@@ -110,7 +110,7 @@ TEST(AcAnalysis, CapacitanceMatrixOfSingleCapacitorIsExact) {
 
   const OperatingPoint op = dcOperatingPoint(c);
   const SmallSignalSystem system(c, op);
-  const linalg::Matrix& cm = system.capacitance();
+  const linalg::SparseMatrix& cm = system.capacitance();
 
   const auto row = [&](NodeId n) { return static_cast<std::size_t>(n - 1); };
   EXPECT_NEAR(cm(row(a), row(a)), 3e-12, 1e-20);
