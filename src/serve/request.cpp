@@ -78,8 +78,17 @@ class JsonParser {
     const char c = peek();
     JsonValue v;
     switch (c) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth)
+          throw JsonDepthError("json offset " + std::to_string(pos_) +
+                               ": nesting deeper than " +
+                               std::to_string(kMaxJsonDepth) + " levels");
+        ++depth_;
+        v = c == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"':
         v.kind = JsonValue::Kind::string;
         v.string = string();
@@ -236,6 +245,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

@@ -77,6 +77,18 @@ class JsonParseError : public Error {
   explicit JsonParseError(const std::string& what) : Error(what) {}
 };
 
+/// Deepest array/object nesting parseJson accepts.  A protocol document
+/// nests at most 4 levels; the cap bounds the recursive parser's stack
+/// whatever a client sends.
+inline constexpr int kMaxJsonDepth = 64;
+
+/// Thrown when a document nests deeper than kMaxJsonDepth.  No request the
+/// protocol defines can be that deep, so the server answers bad_request.
+class JsonDepthError : public JsonParseError {
+ public:
+  using JsonParseError::JsonParseError;
+};
+
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 [[nodiscard]] JsonValue parseJson(const std::string& text);
 
@@ -94,6 +106,7 @@ void appendJsonNumber(std::string& out, double v);
 enum class RequestError : std::uint8_t {
   badJson,        ///< line is not a JSON object
   badRequest,     ///< schema violation (missing/unknown/ill-typed field)
+                  ///< or nesting deeper than kMaxJsonDepth
   deckError,      ///< netlist rejected (carries the deck line number)
   campaignError,  ///< campaign aborted after it started
 };

@@ -65,6 +65,8 @@ void CampaignServer::handleLine(const std::string& line,
     const CampaignPlan plan(std::move(request), std::move(deck));
     const SessionCache::Acquired acquired = cache_.acquire(plan);
     (void)plan.run(*acquired.pool, emit, acquired.warm);
+  } catch (const JsonDepthError& e) {
+    emit(errorFrame(id, RequestError::badRequest, e.what()));
   } catch (const JsonParseError& e) {
     emit(errorFrame(id, RequestError::badJson, e.what()));
   } catch (const spice::NetlistParseError& e) {

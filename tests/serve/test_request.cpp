@@ -56,6 +56,17 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW((void)parseJson("{} trailing"), JsonParseError);
 }
 
+TEST(Json, CapsNestingDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(parseJson(nested(kMaxJsonDepth)).kind, JsonValue::Kind::array);
+  EXPECT_THROW((void)parseJson(nested(kMaxJsonDepth + 1)), JsonDepthError);
+  EXPECT_THROW((void)parseJson("{\"a\":" + nested(kMaxJsonDepth) + "}"),
+               JsonDepthError);
+}
+
 TEST(Json, NumberSerializationRoundTripsExactly) {
   for (const double v : {0.1, 1.0 / 3.0, -2.5e-300, 6.02214076e23, 0.0}) {
     std::string out;

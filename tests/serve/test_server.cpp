@@ -98,6 +98,15 @@ TEST(CampaignServer, SchemaViolationGetsBadRequestWithIdEcho) {
   EXPECT_EQ(frame.find("id")->string, "r9");
 }
 
+TEST(CampaignServer, DeepNestingGetsBadRequestNotACrash) {
+  // A million open brackets once overflowed the recursive parser's stack.
+  CampaignServer server;
+  const std::vector<std::string> frames =
+      runLine(server, "{\"deck\":" + std::string(1000000, '['));
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(finalFrameOf(frames).find("code")->string, "bad_request");
+}
+
 TEST(CampaignServer, MalformedDeckGetsLineClassifiedDeckError) {
   CampaignServer server;
   std::string req = R"({"deck": )";
