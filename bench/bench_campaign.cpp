@@ -15,12 +15,16 @@
 //               comparison.
 //   grid_ladder_{10,32,64} -- the grid-scale fixture ladder: one row per
 //               mesh rung combining session-campaign throughput with a
-//               direct factor probe (fresh-factor us, fill ratio, marginal
-//               allocs per factor, factor memory).  Rungs up to 32x32 also
-//               time the retained dense-pivot baseline (DensePivotLu) and
-//               carry the CI-gated "speedup_vs_dense_lu"; the 64x64 rung
-//               instead records its isolated peak RSS, the near-linear-
-//               memory evidence at ~4k unknowns.
+//               direct factor probe (ordering us, fresh-factor us, fill
+//               ratio, marginal allocs per factor, factor memory).  Rungs
+//               up to 32x32 also time the retained dense-pivot baseline
+//               (DensePivotLu) and carry the CI-gated "speedup_vs_dense_lu";
+//               the 64x64 rung instead records its isolated peak RSS, the
+//               near-linear-memory evidence at ~4k unknowns.
+//   grid_ladder_{128,256} -- the factor probe alone (no campaign samples)
+//               on the 16k- and 65k-unknown meshes; the 256 row also
+//               carries "ordering_exponent", the log-log slope of ordering
+//               time against unknowns over the 32..256 rungs.
 //
 // Both paths run the identical statistical VS sampling (same seed, same
 // draws) single-threaded, so samples/sec compares per-sample cost and the
@@ -59,19 +63,23 @@
 //                 rebuild-path comparison: the mode the CI scaling smoke
 //                 and the scaling-audit job run across worker counts,
 //                 comparing metrics_fnv1a per row name across runs
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc_count.hpp"
 #include "circuits/benchmarks.hpp"
 #include "common.hpp"
 #include "linalg/dense_pivot_lu.hpp"
+#include "linalg/ordering.hpp"
 #include "linalg/sparse_lu.hpp"
 #include "mc/circuit_campaign.hpp"
 #include "mc/providers.hpp"
@@ -537,7 +545,7 @@ struct FactorProbe {
   std::size_t patternNnz = 0;
   std::size_t factorNnz = 0;
   double fillRatio = 0.0;
-  double orderingUs = 0.0;      ///< one-time fill-reducing ordering
+  double orderingUs = 0.0;      ///< fill-reducing ordering, best of 5
   double freshFactorUs = 0.0;   ///< steady-state fresh full factor
   double allocsPerFactor = 0.0; ///< marginal heap allocs per fresh factor
   double factorMemMiB = 0.0;    ///< factor storage (values + indices)
@@ -562,6 +570,15 @@ FactorProbe probeFactor(int edge, int factorReps, bool withDense) {
 
   FactorProbe p;
   p.unknowns = n;
+  p.orderingUs = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 5; ++i) {
+    const auto o0 = Clock::now();
+    (void)linalg::minDegreeOrder(m.pattern());
+    const auto o1 = Clock::now();
+    p.orderingUs = std::min(
+        p.orderingUs,
+        std::chrono::duration<double, std::micro>(o1 - o0).count());
+  }
 
   linalg::SparseLu lu;
   lu.refactor(m);  // pays the one-time ordering; cached across reset()
@@ -585,7 +602,6 @@ FactorProbe probeFactor(int edge, int factorReps, bool withDense) {
   p.patternNnz = lu.patternNonZeroCount();
   p.factorNnz = lu.factorNonZeroCount();
   p.fillRatio = lu.fillRatio();
-  p.orderingUs = static_cast<double>(lu.orderingMicros());
   p.factorMemMiB =
       static_cast<double>(lu.factorMemoryBytes()) / (1024.0 * 1024.0);
 
@@ -608,6 +624,20 @@ FactorProbe probeFactor(int edge, int factorReps, bool withDense) {
   return p;
 }
 
+/// The factor probe's JSON fields, without braces.
+std::string probeFields(const FactorProbe& p) {
+  char buf[320];
+  std::snprintf(buf, sizeof buf,
+                "\"unknowns\": %zu, \"pattern_nnz\": %zu, "
+                "\"factor_nnz\": %zu, \"fill_ratio\": %.2f, "
+                "\"ordering_us\": %.0f, \"fresh_factor_us\": %.1f, "
+                "\"allocs_per_factor\": %.1f, \"factor_mem_mib\": %.3f",
+                p.unknowns, p.patternNnz, p.factorNnz, p.fillRatio,
+                p.orderingUs, p.freshFactorUs, p.allocsPerFactor,
+                p.factorMemMiB);
+  return buf;
+}
+
 /// Ladder row: session-campaign throughput + the factor probe, one JSONL
 /// object.  speedup_vs_dense_lu (CI-gated, higher-better) appears only
 /// where the dense baseline actually ran -- at 64x64 it would be ~5e10
@@ -621,17 +651,12 @@ void emitLadder(const std::string& name, int samples, const CampaignTiming& t,
       buf, sizeof buf,
       "{\"name\": \"%s\", \"samples\": %d, \"threads\": %u, "
       "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-      "\"allocs_per_sample\": %.1f, \"metrics_fnv1a\": \"0x%016llx\", "
-      "\"unknowns\": %zu, \"pattern_nnz\": %zu, \"factor_nnz\": %zu, "
-      "\"fill_ratio\": %.2f, \"ordering_us\": %.0f, "
-      "\"fresh_factor_us\": %.1f, \"allocs_per_factor\": %.1f, "
-      "\"factor_mem_mib\": %.3f",
+      "\"allocs_per_sample\": %.1f, \"metrics_fnv1a\": \"0x%016llx\", ",
       name.c_str(), samples, gThreads, t.usPerSample, 1e6 / t.usPerSample,
       t.allocsPerSample,
-      static_cast<unsigned long long>(metricsHash(t.result)), p.unknowns,
-      p.patternNnz, p.factorNnz, p.fillRatio, p.orderingUs, p.freshFactorUs,
-      p.allocsPerFactor, p.factorMemMiB);
+      static_cast<unsigned long long>(metricsHash(t.result)));
   row += buf;
+  row += probeFields(p);
   if (p.denseFactorUs >= 0.0) {
     std::snprintf(buf, sizeof buf,
                   ", \"dense_factor_us\": %.1f, "
@@ -645,6 +670,24 @@ void emitLadder(const std::string& name, int samples, const CampaignTiming& t,
   }
   row += "}\n";
   std::fputs(row.c_str(), stdout);
+}
+
+/// Least-squares slope of log(y) against log(x).
+double logLogSlope(const std::vector<std::pair<double, double>>& points) {
+  double sx = 0.0;
+  double sy = 0.0;
+  double sxx = 0.0;
+  double sxy = 0.0;
+  for (const auto& [x, y] : points) {
+    const double lx = std::log(x);
+    const double ly = std::log(y);
+    sx += lx;
+    sy += ly;
+    sxx += lx * lx;
+    sxy += lx * ly;
+  }
+  const double k = static_cast<double>(points.size());
+  return (k * sxy - sx * sy) / (k * sxx - sx * sx);
 }
 
 int runGrid(int gridSamples, bool quick) {
@@ -671,6 +714,8 @@ int runGrid(int gridSamples, bool quick) {
     runScalingCombos("grid_ladder_32", quick ? 6 : 10, gridSession(32, 21));
     return 0;
   }
+  // (unknowns, ordering us) of the 32..256 rungs for ordering_exponent.
+  std::vector<std::pair<double, double>> orderingScale;
   for (const Rung& rung : rungs) {
     const auto session = gridSession(rung.edge, rung.points);
     const CampaignTiming t = timeCampaign(rung.samples, [&](int n) {
@@ -690,6 +735,26 @@ int runGrid(int gridSamples, bool quick) {
     }
     emitLadder("grid_ladder_" + std::to_string(rung.edge), rung.samples, t, p,
                peakRssMiB);
+    if (rung.edge >= 32)
+      orderingScale.emplace_back(static_cast<double>(p.unknowns), p.orderingUs);
+  }
+
+  // Ordering-scale rungs: too big for campaign rows, so the factor probe
+  // alone, with one timed fresh factor.  The 256 row closes the log-log
+  // fit of ordering time over the 32..256 rungs.
+  for (const int edge : {128, 256}) {
+    const FactorProbe p = probeFactor(edge, 1, false);
+    orderingScale.emplace_back(static_cast<double>(p.unknowns), p.orderingUs);
+    std::string row = "{\"name\": \"grid_ladder_" + std::to_string(edge) +
+                      "\", " + probeFields(p);
+    if (edge == 256) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, ", \"ordering_exponent\": %.3f",
+                    logLogSlope(orderingScale));
+      row += buf;
+    }
+    row += "}\n";
+    std::fputs(row.c_str(), stdout);
   }
   return 0;
 }

@@ -5,20 +5,22 @@ Each current row (one JSON object per line, as every bench_* binary prints)
 is matched by "name" against the committed reference and judged per metric:
 
   * throughput metrics -- samples_per_sec, speedup_vs_* (higher-better) and
-    us_per_sample, ns_per_iter, ns_per_device_eval (lower-better) -- fail
-    when they regress by more than the tolerance band (default 25%,
-    --tolerance).  Reference rows may widen a band for a specific metric
-    with "ci_tol_<metric>": 0.6 (used for absolute-time metrics, which
-    carry machine-to-machine variance that ratio metrics do not).
+    us_per_sample, ns_per_iter, ns_per_device_eval, ordering_us
+    (lower-better) -- fail when they regress by more than the tolerance
+    band (default 25%, --tolerance).  Reference rows may widen a band for
+    a specific metric with "ci_tol_<metric>": 0.6 (used for absolute-time
+    metrics, which carry machine-to-machine variance that ratio metrics do
+    not).
   * correctness booleans -- bit_identical, within_tolerance -- must stay
     true wherever the reference says true, tolerance-free.
   * allocation metrics -- allocs, allocs_per_sample -- must not exceed the
     reference by more than --alloc-slack (default 0.5/sample; campaign
     bookkeeping amortizes differently at --quick sample counts, so
     reference rows may override the ceiling with "ci_max_<metric>": N).
-  * contract ceilings -- estimator_max_sigma_delta -- must stay below a
-    fixed bound (3 sigma by default; "ci_max_<metric>" overrides), so the
-    statistical tier's accuracy contract gates independently of the
+  * contract ceilings -- estimator_max_sigma_delta, ordering_exponent, the
+    card-parameter errors -- must stay below a fixed bound (3 sigma, 1.3,
+    ...; "ci_max_<metric>" overrides), so the statistical tier's accuracy
+    contract and the ordering's scaling gate independently of the
     throughput bands.
   * "ci_skip": ["metric", ...] in a reference row skips named metrics.
 
@@ -36,8 +38,9 @@ import json
 import sys
 
 LOWER_BETTER = ("us_per_sample", "ns_per_iter", "ns_per_device_eval",
-                "fresh_factor_us", "mean_iters_per_sample", "us_per_fit",
-                "mean_lm_iters_per_fit", "ttfs_ms", "p99_ttfs_ms")
+                "fresh_factor_us", "ordering_us", "mean_iters_per_sample",
+                "us_per_fit", "mean_lm_iters_per_fit", "ttfs_ms",
+                "p99_ttfs_ms")
 HIGHER_BETTER = (
     "samples_per_sec",
     "fits_per_sec",
@@ -64,10 +67,14 @@ ALLOC_METRICS = ("allocs", "allocs_per_sample", "allocs_per_factor",
 # in units of its Monte Carlo standard error must stay within 3 sigma
 # regardless of how the throughput rows move.  The card-parameter error
 # caps are the extraction tier's recovery contract: fitted cards must land
-# near their per-lane truth regardless of fit throughput.
+# near their per-lane truth regardless of fit throughput.  The ordering
+# exponent is the log-log slope of fill-reducing ordering time against
+# unknowns over the mesh ladder: above 1.3 the ordering has stopped scaling
+# near-linearly, whatever the absolute times on the runner.
 BOUNDED_METRICS = {"estimator_max_sigma_delta": 3.0,
                    "mean_card_param_rel_error": 0.05,
-                   "max_card_param_rel_error": 0.25}
+                   "max_card_param_rel_error": 0.25,
+                   "ordering_exponent": 1.3}
 
 
 def load_reference(path):
