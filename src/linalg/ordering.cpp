@@ -146,7 +146,7 @@ FillOrder minDegreeOrder(const SparsePattern& pattern) {
   const std::size_t nnz = pattern.nonZeroCount();
   Index offDiagonal = 0;
   for (std::size_t s = 0; s < nnz; ++s) offDiagonal += rows[s] != cols[s];
-  const Index raw = 2 * offDiagonal;  // both (r, c) and (c, r), duplicates kept
+  const Index raw = 2 * offDiagonal;  // (r, c) and (c, r), duplicates kept
   const Index iwlen = raw + raw / 5 + n;
 
   std::vector<Index> workspace(static_cast<std::size_t>(13 * n + iwlen), 0);
@@ -374,7 +374,8 @@ FillOrder minDegreeOrder(const SparsePattern& pattern) {
       ++pn;
       len[i] = pn - p1;
       elen[i] = elements;
-      const Index bucket = static_cast<Index>(hash % static_cast<std::uint64_t>(n));
+      const auto bucket =
+          static_cast<Index>(hash % static_cast<std::uint64_t>(n));
       hashOf[i] = bucket;
       hashNext[i] = hashHead[bucket];
       hashHead[bucket] = i;

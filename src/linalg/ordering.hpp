@@ -8,6 +8,11 @@
 // consulted -- so callers may compute it once per captured MNA pattern and
 // reuse it for every sample of a campaign without touching any bit-identity
 // contract.
+//
+// The ordering is not free: it runs inside the first factor of every new
+// pattern, so it sits on the latency of every cold solve.  It therefore has
+// to scale like the factor, near-linearly in the pattern, which is why it
+// is approximate minimum degree rather than an exact-degree elimination.
 #ifndef VSSTAT_LINALG_ORDERING_HPP
 #define VSSTAT_LINALG_ORDERING_HPP
 
@@ -26,12 +31,16 @@ struct FillOrder {
   int sign = 1;
 };
 
-/// Greedy minimum-degree ordering on the symmetrized graph of A + A^T
-/// (self-loops ignored).  Each step eliminates the lowest-index vertex of
-/// minimum current degree and connects its neighbors into a clique (the
-/// structural fill of that elimination step), exactly mirroring what the
-/// numeric factorization will do.  Deterministic by construction: ties
-/// always break toward the lowest original index.
+/// Approximate minimum degree (AMD; Amestoy, Davis & Duff, SIAM J. Matrix
+/// Anal. Appl. 17(4), 1996) on the symmetrized graph of A + A^T (self-loops
+/// ignored).  It eliminates on a quotient graph -- element absorption,
+/// approximate external degrees, supervariables with mass elimination --
+/// and orders rows denser than max(16, 10 sqrt(n)) last.  Each step
+/// eliminates the lowest-index (super)variable of minimum approximate
+/// degree, so the order is deterministic, a pure function of the pattern.
+/// Time and memory grow near-linearly with the pattern on mesh- and
+/// tree-shaped circuits; tests/linalg/test_ordering.cpp holds its fill to
+/// within 5 % of an exact minimum-degree order.
 ///
 /// Row pivoting composes freely with this column order: the factorization
 /// pivots PAQ = LU with Q from here and P chosen numerically per column.

@@ -237,7 +237,8 @@ TEST(Ordering, AcBlockPatternFillWithinOracle) {
   for (std::size_t s = 0; s < mna.nonZeroCount(); ++s) {
     const std::size_t r = mna.rowIndex()[s];
     const std::size_t c = mna.colIndex()[s];
-    coords.insert(coords.end(), {{r, c}, {r, c + n}, {r + n, c}, {r + n, c + n}});
+    coords.insert(coords.end(),
+                  {{r, c}, {r, c + n}, {r + n, c}, {r + n, c + n}});
   }
   expectOrderContract(SparsePattern(2 * n, coords), "ac block 32x32");
 }
