@@ -133,21 +133,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Error-above-threshold policy for the unattended smoke flow: a degraded
-  // campaign (more than 1% of corners dropped even after the rescue
-  // ladder) must exit non-zero, not print a biased table.
-  constexpr double kMaxDropFraction = 0.01;
-  const double dropFraction =
-      static_cast<double>(totalDropped) / static_cast<double>(totalSamples);
+  // Unattended smoke flow: a degraded campaign (mc::CampaignHealth: too
+  // many corners dropped even after the rescue ladder) must exit non-zero,
+  // not print a biased table.
+  const mc::CampaignHealth health{static_cast<std::size_t>(totalDropped),
+                                  static_cast<std::size_t>(totalSamples)};
   std::printf("\nfailure accounting: %d of %d samples dropped, %d rescued\n",
               totalDropped, totalSamples, totalRescued);
-  if (dropFraction > kMaxDropFraction) {
-    std::printf("campaign health: DEGRADED (drop fraction %.2f %% > %.0f %%)\n",
-                100.0 * dropFraction, 100.0 * kMaxDropFraction);
-    return 3;
-  }
-  std::printf("campaign health: OK (drop fraction within %.0f %% budget)\n",
-              100.0 * kMaxDropFraction);
+  std::printf("%s\n", health.line().c_str());
+  if (!health.ok()) return 3;
   if (totalSucceeded > 0) {
     std::printf("newton: %.1f iterations/sample, warm-start hit rate %.0f %% "
                 "(%s tier)\n",

@@ -32,35 +32,13 @@
 #include "core/statistical_vs.hpp"
 #include "mc/circuit_campaign.hpp"
 #include "mc/runner.hpp"
-#include "sim/rescue.hpp"
 #include "sim/session.hpp"
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
 
 using namespace vsstat;
 
-namespace {
-
 using GridSession = sim::CampaignSession<circuits::PowerGridBench>;
-
-// Warm-chain block lease (statistical tier): one session serves a whole
-// contiguous sample block, published through a thread-local so the sample
-// function below finds it; blocks start cold per the determinism contract.
-thread_local GridSession* tlsBlockSession = nullptr;
-
-struct BlockLease {
-  sim::SessionPool<circuits::PowerGridBench>::Lease lease;
-  explicit BlockLease(sim::SessionPool<circuits::PowerGridBench>::Lease l)
-      : lease(std::move(l)) {
-    lease->coldStart();
-    tlsBlockSession = &*lease;
-  }
-  ~BlockLease() { tlsBlockSession = nullptr; }
-  BlockLease(const BlockLease&) = delete;
-  BlockLease& operator=(const BlockLease&) = delete;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   int samples = 60;
@@ -105,8 +83,6 @@ int main(int argc, char** argv) {
   mc::McOptions mcOpt;
   mcOpt.samples = samples;
   mcOpt.seed = 77;
-  if (sessionOptions.tier == spice::ToleranceTier::statistical)
-    mcOpt.sampleBlock = mc::kStatisticalSampleBlock;
 
   // Measurement body (session arrives rebound by the rescue wrapper): sweep
   // the feed supply, report the far-corner IR drop at full rail.
@@ -124,24 +100,8 @@ int main(int argc, char** argv) {
         out[0] = fx.supply - farVolts.back();
       };
 
-  mc::BlockResourceFn blockFn;
-  if (mcOpt.sampleBlock > 0)
-    blockFn = [&pool](std::size_t) -> std::shared_ptr<void> {
-      return std::make_shared<BlockLease>(pool.acquire());
-    };
-  const mc::McResult r = mc::runCampaign(
-      mcOpt, 1,
-      mc::SampleFnEx([&](std::size_t index, stats::Rng& rng,
-                         std::vector<double>& out, mc::SampleContext& ctx) {
-        if (tlsBlockSession != nullptr) {
-          sim::runSampleWithRescue(index, *tlsBlockSession, rng, out, ctx,
-                                   measure);
-          return;
-        }
-        auto lease = pool.acquire();
-        sim::runSampleWithRescue(index, *lease, rng, out, ctx, measure);
-      }),
-      blockFn);
+  const mc::McResult r =
+      mc::runCampaign<circuits::PowerGridBench>(mcOpt, 1, pool, measure);
 
   const auto s = stats::summarize(r.metrics[0]);
   std::printf("%dx%d power-grid IR drop (%d MC samples, %zu leakage FETs, "
@@ -153,8 +113,8 @@ int main(int argc, char** argv) {
   std::printf("worst-case IR drop: mean = %.3f mV  sigma = %.3f mV  "
               "max = %.3f mV\n", s.mean * 1e3, s.stddev * 1e3, s.max * 1e3);
 
-  // Same unattended-health contract as the other campaign examples: more
-  // than 1% dropped samples is a degraded campaign and exits non-zero.
+  // Same unattended-health contract as the other campaign examples: a
+  // degraded campaign (mc::CampaignHealth) exits non-zero.
   const int total = static_cast<int>(r.sampleCount()) + r.failures;
   std::printf("\nfailure accounting: %d of %d samples dropped, %d rescued\n",
               r.failures, total, r.rescued);
@@ -163,16 +123,10 @@ int main(int argc, char** argv) {
     if (r.failuresOf(cls) > 0)
       std::printf("  %-15s %d\n", toString(cls), r.failuresOf(cls));
   }
-  constexpr double kMaxDropFraction = 0.01;
-  const double dropFraction =
-      static_cast<double>(r.failures) / static_cast<double>(total);
-  if (dropFraction > kMaxDropFraction) {
-    std::printf("campaign health: DEGRADED (drop fraction %.2f %% > %.0f %%)\n",
-                100.0 * dropFraction, 100.0 * kMaxDropFraction);
-    return 3;
-  }
-  std::printf("campaign health: OK (drop fraction within %.0f %% budget)\n",
-              100.0 * kMaxDropFraction);
+  const mc::CampaignHealth health{static_cast<std::size_t>(r.failures),
+                                  static_cast<std::size_t>(total)};
+  std::printf("%s\n", health.line().c_str());
+  if (!health.ok()) return 3;
   if (r.sampleCount() > 0) {
     std::printf("newton: %.1f iterations/sample, warm-start hit rate %.0f %% "
                 "(%s tier)\n",

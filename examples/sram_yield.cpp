@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
         (r1.warmStartOpportunities - r0.warmStartOpportunities) +
         (h1.warmStartOpportunities - h0.warmStartOpportunities);
   };
-  mc::BlockResourceFn blockFn;
+  mc::CampaignHooks hooks;
   if (statistical) {
     // Warm-chain blocks: one READ + one HOLD lease span each fixed-size
     // block (cold-started at its head), so sample k's solves seed from
@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
     // geometry, and with it every result bit, is independent of the
     // worker count.
     mcOpt.sampleBlock = mc::kStatisticalSampleBlock;
-    blockFn = [&](std::size_t) -> std::shared_ptr<void> {
+    hooks.blockResource = [&](std::size_t) -> std::shared_ptr<void> {
       return std::make_shared<BlockPair>(readPool.acquire(),
                                          holdPool.acquire());
     };
@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
         StagePair pair(readPool.acquire(), holdPool.acquire());
         measurePair(*pair.read, *pair.hold, rng, out, ctx);
       }),
-      blockFn);
+      hooks);
 
   const auto read = stats::summarize(r.metrics[0]);
   const auto hold = stats::summarize(r.metrics[1]);
@@ -280,24 +280,19 @@ int main(int argc, char** argv) {
   std::printf("HOLD SNM: mean = %.1f mV  sigma = %.1f mV  min = %.1f mV\n",
               hold.mean * 1e3, hold.stddev * 1e3, hold.min * 1e3);
 
-  // Yield under an EXPLICIT dropped-sample policy: dropped corners are the
-  // extreme draws, so they count as spec failures (conservative), and an
-  // unattended run aborts loudly -- exit 3 -- rather than report a number
-  // biased by a silently degraded campaign.
+  // An unattended run aborts loudly -- exit 3 -- rather than report a
+  // number biased by a silently degraded campaign (mc::CampaignHealth).
+  // Within that budget the yield renormalizes over the surviving samples.
   printCampaignBreakdown("SNM", r);
+  const mc::CampaignHealth health{
+      static_cast<std::size_t>(r.failures),
+      static_cast<std::size_t>(r.failures) + r.sampleCount()};
+  std::printf("%s\n", health.line().c_str());
+  if (!health.ok()) return 3;
   yield::DropPolicy dropPolicy;
-  dropPolicy.mode = yield::DroppedSamplePolicy::errorAboveThreshold;
-  dropPolicy.maxDropFraction = 0.01;
-  yield::YieldEstimate moderate;
-  try {
-    moderate = yield::yieldOfCampaign(r, 0, {kSnmFloor, std::nullopt},
-                                      dropPolicy);
-  } catch (const yield::DroppedSamplesError& e) {
-    std::printf("campaign health: DEGRADED -- %s\n", e.what());
-    return 3;
-  }
-  std::printf("campaign health: OK (drop fraction within %.0f %% budget)\n",
-              100.0 * dropPolicy.maxDropFraction);
+  dropPolicy.mode = yield::DroppedSamplePolicy::drop;
+  const yield::YieldEstimate moderate = yield::yieldOfCampaign(
+      r, 0, {kSnmFloor, std::nullopt}, dropPolicy);
   std::printf("newton: %.1f iterations/sample, warm-start hit rate %.0f %% "
               "(%s tier)\n",
               r.meanIterationsPerSample(), 100.0 * r.warmStartHitRate(),

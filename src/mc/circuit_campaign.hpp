@@ -1,4 +1,4 @@
-// Circuit-campaign overload of mc::runCampaign: Monte Carlo over one fixed
+// Circuit-campaign overloads of mc::runCampaign: Monte Carlo over one fixed
 // circuit topology through build-once / rebind-per-sample sessions
 // (sim::CampaignSession) instead of rebuilding the fixture every sample.
 //
@@ -8,7 +8,8 @@
 // draw-for-draw and solver-numerics identical to a rebuild, the metrics
 // are bit-identical to a rebuild-per-sample campaign with the same seed.
 //
-// `sessionOptions` selects the session-mode axes for every worker session:
+// The session pool's spice::SessionOptions select the session-mode axes for
+// every worker session:
 // NumericsMode::fast and/or SolverMode::reusePivot keep the
 // thread-count-independence guarantee (results never depend on which
 // worker served which sample) but replace rebuild bit-identity with the
@@ -67,42 +68,16 @@ using CircuitSampleFn = std::function<void(
     std::size_t index, sim::CampaignSession<Fixture>& session,
     stats::Rng& rng, std::vector<double>& out)>;
 
-namespace detail {
-
-/// Thread-local slot naming the session whose lease the currently running
-/// warm-chain block holds.  Save/restore semantics (BlockHold) keep nested
-/// same-fixture campaigns from clobbering their caller's block.
-template <class Fixture>
-[[nodiscard]] inline sim::CampaignSession<Fixture>*&
-blockSessionSlot() noexcept {
-  static thread_local sim::CampaignSession<Fixture>* slot = nullptr;
-  return slot;
-}
-
-/// Block-scoped lease holder: acquired on the worker that runs the block,
-/// cold-started (warm chains never cross block boundaries), published via
-/// the thread-local slot, released when the block's last sample finished.
-template <class Fixture>
-struct BlockHold {
-  typename sim::SessionPool<Fixture>::Lease lease;
-  sim::CampaignSession<Fixture>* prev;
-
-  explicit BlockHold(typename sim::SessionPool<Fixture>::Lease l)
-      : lease(std::move(l)), prev(blockSessionSlot<Fixture>()) {
-    lease->coldStart();
-    blockSessionSlot<Fixture>() = &*lease;
-  }
-  ~BlockHold() { blockSessionSlot<Fixture>() = prev; }
-  BlockHold(const BlockHold&) = delete;
-  BlockHold& operator=(const BlockHold&) = delete;
-};
-
-}  // namespace detail
-
-/// Runs a Monte Carlo campaign over one circuit topology.  `build` is
-/// invoked once per worker session (not per sample); `fn` measures the
-/// rebound fixture.  Call with the fixture type explicit, e.g.
-/// `mc::runCampaign<circuits::GateFo3Bench>(...)`.
+/// Runs a Monte Carlo campaign over one circuit topology against a
+/// caller-owned session pool: `fn` measures each sample on a leased worker
+/// session, rebound for the sample's mismatch draw.  The pool's
+/// SessionOptions pick the session modes; under ToleranceTier::statistical
+/// a McOptions::sampleBlock of 0 means kStatisticalSampleBlock.  The pool
+/// may be shared -- with earlier campaigns (warm sessions) or concurrent
+/// ones -- without changing any result bit: a session's numerics do not
+/// depend on which samples it served before.  `chunkSamples` / `onChunk`
+/// stream progress (CampaignHooks).  Call with the fixture type explicit
+/// when `fn` is a lambda, e.g. `mc::runCampaign<circuits::GateFo3Bench>`.
 ///
 /// Failure semantics: a sample whose solve or metric throws a SampleFailure
 /// first walks the deterministic rescue ladder (sim/rescue.hpp, disable via
@@ -114,55 +89,81 @@ struct BlockHold {
 template <class Fixture>
 [[nodiscard]] McResult runCampaign(
     const McOptions& options, std::size_t metricCount,
-    const typename sim::CampaignSession<Fixture>::Builder& build,
-    const ProviderFactory& providerFactory, const CircuitSampleFn<Fixture>& fn,
-    spice::SessionOptions sessionOptions = {},
-    const sim::RescuePolicy& rescue = {}, const SamplingPlan& plan = {}) {
+    sim::SessionPool<Fixture>& pool, const CircuitSampleFn<Fixture>& fn,
+    const sim::RescuePolicy& rescue = {}, const SamplingPlan& plan = {},
+    int chunkSamples = 0, const ChunkFn& onChunk = {}) {
+  using Session = sim::CampaignSession<Fixture>;
   McOptions effective = options;
-  if (sessionOptions.tier == spice::ToleranceTier::statistical &&
+  if (pool.options().tier == spice::ToleranceTier::statistical &&
       effective.sampleBlock == 0)
     effective.sampleBlock = kStatisticalSampleBlock;
 
   const std::unique_ptr<SampleGenerator> generator = makeSampleGenerator(
       plan, static_cast<std::size_t>(effective.samples), effective.seed);
 
-  sim::SessionPool<Fixture> pool(build, providerFactory, sessionOptions);
-
-  // Arms the plan's z-vector for this sample.  FixedZProvider::reseed only
-  // rewinds the cursor, so rescue-ladder replays (bindSample per attempt)
-  // re-run the same coordinates bit-for-bit.
-  const auto armGenerator = [&](sim::CampaignSession<Fixture>& session,
-                                std::size_t index) {
-    if (generator == nullptr) return;
-    auto* fixed =
-        dynamic_cast<circuits::FixedZProvider*>(&session.provider());
-    require(fixed != nullptr,
-            "runCampaign: SamplingPlan generator schemes require the "
-            "provider factory to produce circuits::FixedZProvider sessions");
-    fixed->setZ(generator->standardNormals(index));
-  };
-
-  const auto runSample = [&](std::size_t index, stats::Rng& rng,
-                             std::vector<double>& out, SampleContext& ctx) {
-    if (sim::CampaignSession<Fixture>* block =
-            detail::blockSessionSlot<Fixture>()) {
-      armGenerator(*block, index);
-      sim::runSampleWithRescue(index, *block, rng, out, ctx, fn, rescue);
-      return;
+  // Blocked dispatch holds one lease per warm-chain block, cold-started at
+  // its head and published to its samples through this worker's slot;
+  // restoring the caller's slot keeps nested same-fixture campaigns apart.
+  static thread_local Session* blockSession = nullptr;
+  using Lease = typename sim::SessionPool<Fixture>::Lease;
+  struct BlockHold {
+    Lease lease;
+    Session* caller;
+    explicit BlockHold(Lease l)
+        : lease(std::move(l)), caller(std::exchange(blockSession, &*lease)) {
+      lease->coldStart();
     }
-    typename sim::SessionPool<Fixture>::Lease lease = pool.acquire();
-    armGenerator(*lease, index);
-    sim::runSampleWithRescue(index, *lease, rng, out, ctx, fn, rescue);
+    ~BlockHold() { blockSession = caller; }
   };
-
-  BlockResourceFn blockResource;
+  CampaignHooks hooks{nullptr, chunkSamples, onChunk};
   if (effective.sampleBlock > 0)
-    blockResource = [&pool](std::size_t) -> std::shared_ptr<void> {
-      return std::make_shared<detail::BlockHold<Fixture>>(pool.acquire());
+    hooks.blockResource = [&pool](std::size_t) -> std::shared_ptr<void> {
+      return std::make_shared<BlockHold>(pool.acquire());
     };
 
-  return runCampaign(effective, metricCount, SampleFnEx(runSample),
-                     blockResource);
+  const auto runSample = [&](Session& session, std::size_t index,
+                             stats::Rng& rng, std::vector<double>& out,
+                             SampleContext& ctx) {
+    // Arms the plan's z-vector for this sample.  FixedZProvider::reseed
+    // only rewinds the cursor, so rescue-ladder replays (bindSample per
+    // attempt) re-run the same coordinates bit-for-bit.
+    if (generator != nullptr) {
+      auto* fixed =
+          dynamic_cast<circuits::FixedZProvider*>(&session.provider());
+      require(fixed != nullptr,
+              "runCampaign: SamplingPlan generator schemes require the "
+              "provider factory to produce circuits::FixedZProvider "
+              "sessions");
+      fixed->setZ(generator->standardNormals(index));
+    }
+    sim::runSampleWithRescue(index, session, rng, out, ctx, fn, rescue);
+  };
+
+  return runCampaign(
+      effective, metricCount,
+      SampleFnEx([&](std::size_t index, stats::Rng& rng,
+                     std::vector<double>& out, SampleContext& ctx) {
+        if (effective.sampleBlock > 0) {
+          runSample(*blockSession, index, rng, out, ctx);
+        } else {
+          Lease lease = pool.acquire();
+          runSample(*lease, index, rng, out, ctx);
+        }
+      }),
+      hooks);
+}
+
+/// Builder form: the same campaign on a fresh pool that lives for this one
+/// call.  `build` is invoked once per worker session (not per sample).
+template <class Fixture>
+[[nodiscard]] McResult runCampaign(
+    const McOptions& options, std::size_t metricCount,
+    const typename sim::CampaignSession<Fixture>::Builder& build,
+    const ProviderFactory& providerFactory, const CircuitSampleFn<Fixture>& fn,
+    spice::SessionOptions sessionOptions = {},
+    const sim::RescuePolicy& rescue = {}, const SamplingPlan& plan = {}) {
+  sim::SessionPool<Fixture> pool(build, providerFactory, sessionOptions);
+  return runCampaign<Fixture>(options, metricCount, pool, fn, rescue, plan);
 }
 
 }  // namespace vsstat::mc

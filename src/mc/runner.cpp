@@ -1,6 +1,7 @@
 #include "mc/runner.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "util/thread_pool.hpp"
 
@@ -15,10 +16,8 @@ std::size_t McResult::sampleCount() const {
   return n;
 }
 
-McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
-                            const SampleFnEx& fn,
-                            const BlockResourceFn& blockResource,
-                            int chunkSamples, const ChunkFn& onChunk) {
+McResult runCampaign(const McOptions& options, std::size_t metricCount,
+                     const SampleFnEx& fn, const CampaignHooks& hooks) {
   require(options.samples > 0, "runCampaign: samples must be > 0");
   require(metricCount > 0, "runCampaign: metricCount must be > 0");
 
@@ -28,11 +27,10 @@ McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
   std::vector<double> flat(n * metricCount, 0.0);
   std::vector<char> ok(n, 0);
   // Per-sample failure class (-1 = no classified failure recorded) and
-  // rescue count; the what() of each failure is kept so the index-ordered
+  // context; the what() of each failure is kept so the index-ordered
   // reduction below can pick the first one deterministically.  All of it
   // is written by at most one worker per slot, then reduced single-threaded.
   std::vector<signed char> failClass(n, -1);
-  std::vector<int> rescues(n, 0);
   std::vector<SampleContext> contexts(n);
   std::vector<std::string> failMessage(n);
   const stats::Rng campaign(options.seed);
@@ -60,7 +58,6 @@ McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
       if (out.size() < metricCount) return;  // malformed sample: dropped
       std::copy_n(out.begin(), metricCount, flat.begin() + i * metricCount);
       ok[i] = 1;
-      rescues[i] = ctx.rescueAttempts;
       contexts[i] = ctx;
     } catch (const SampleFailure& e) {
       // A classified dropped corner (non-convergence, singular
@@ -79,8 +76,9 @@ McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
   // so a statistical-tier warm chain is never split across two sweeps --
   // which keeps chunked results bit-identical to the monolithic dispatch
   // (chunking changes WHEN samples run, never what any sample computes).
-  std::size_t chunk = chunkSamples > 0 ? static_cast<std::size_t>(chunkSamples)
-                                       : n;
+  std::size_t chunk = hooks.chunkSamples > 0
+                          ? static_cast<std::size_t>(hooks.chunkSamples)
+                          : n;
   if (options.sampleBlock > 0) {
     const auto block = static_cast<std::size_t>(options.sampleBlock);
     chunk = (chunk + block - 1) / block * block;
@@ -103,7 +101,7 @@ McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
           [&](std::size_t bi) {
             const std::size_t b = firstBlock + bi;
             const std::shared_ptr<void> resource =
-                blockResource ? blockResource(b) : nullptr;
+                hooks.blockResource ? hooks.blockResource(b) : nullptr;
             const std::size_t blockEnd = std::min(end, (b + 1) * block);
             for (std::size_t i = b * block; i < blockEnd; ++i) runOne(i);
           },
@@ -113,7 +111,7 @@ McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
           end - start, [&](std::size_t k) { runOne(start + k); },
           options.threads);
     }
-    if (onChunk) {
+    if (hooks.onChunk) {
       McChunkView view;
       view.first = start;
       view.end = end;
@@ -122,8 +120,8 @@ McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
       view.metrics = flat.data() + start * metricCount;
       view.ok = ok.data() + start;
       view.failureClass = failClass.data() + start;
-      view.rescues = rescues.data() + start;
-      onChunk(view);
+      view.contexts = contexts.data() + start;
+      hooks.onChunk(view);
     }
   }
 
@@ -148,7 +146,7 @@ McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
       }
       continue;
     }
-    if (rescues[i] > 0) ++result.rescued;
+    if (contexts[i].rescueAttempts > 0) ++result.rescued;
     result.newtonIterations += contexts[i].newtonIterations;
     result.warmStartHits += contexts[i].warmStartHits;
     result.warmStartOpportunities += contexts[i].warmStartOpportunities;
@@ -159,23 +157,22 @@ McResult runCampaignChunked(const McOptions& options, std::size_t metricCount,
 }
 
 McResult runCampaign(const McOptions& options, std::size_t metricCount,
-                     const SampleFnEx& fn,
-                     const BlockResourceFn& blockResource) {
-  return runCampaignChunked(options, metricCount, fn, blockResource,
-                            /*chunkSamples=*/0, ChunkFn{});
-}
-
-McResult runCampaign(const McOptions& options, std::size_t metricCount,
-                     const SampleFnEx& fn) {
-  return runCampaign(options, metricCount, fn, BlockResourceFn{});
-}
-
-McResult runCampaign(const McOptions& options, std::size_t metricCount,
                      const SampleFn& fn) {
   return runCampaign(options, metricCount,
                      SampleFnEx([&fn](std::size_t i, stats::Rng& rng,
                                       std::vector<double>& out,
                                       SampleContext&) { fn(i, rng, out); }));
+}
+
+std::string CampaignHealth::line() const {
+  char buf[128];
+  std::snprintf(buf, sizeof buf,
+                ok() ? "campaign health: OK (drop fraction %.2f %% within "
+                       "%.0f %% budget)"
+                     : "campaign health: DEGRADED (drop fraction %.2f %% > "
+                       "%.0f %% budget)",
+                100.0 * dropFraction(), 100.0 * kMaxDropFraction);
+  return buf;
 }
 
 }  // namespace vsstat::mc

@@ -57,7 +57,7 @@ struct McResult {
   }
 
   /// Successful samples that needed at least one rescue-ladder retry
-  /// (sim::runCampaign rescue path); 0 for plain sample functions.
+  /// (the circuit campaigns' rescue ladder); 0 for plain sample functions.
   int rescued = 0;
 
   /// Newton-iteration telemetry summed over SUCCESSFUL samples (filled by
@@ -121,8 +121,7 @@ using SampleFnEx = std::function<void(
 /// Block-scoped resource hook for blocked campaigns (McOptions::
 /// sampleBlock > 0): invoked on the executing worker before a block's
 /// first sample; the returned owner lives until the block's last sample
-/// finished.  The circuit campaign uses it to hold ONE session lease
-/// across the whole warm chain.  May be null.
+/// finished.  Circuit campaigns hold one session lease per warm chain.
 using BlockResourceFn =
     std::function<std::shared_ptr<void>(std::size_t blockIndex)>;
 
@@ -141,7 +140,9 @@ struct McChunkView {
   const char* ok = nullptr;
   /// Failure class per sample (-1 = none recorded); see FailureClass.
   const signed char* failureClass = nullptr;
-  const int* rescues = nullptr;  ///< rescue-ladder retries per sample
+  /// What each sample reported (rescue attempts, Newton telemetry) --
+  /// meaningful only where ok[i - first] != 0.
+  const SampleContext* contexts = nullptr;
 };
 
 /// Invoked on the CALLING thread after each chunk's workers drain, in chunk
@@ -149,24 +150,19 @@ struct McChunkView {
 /// running statistics so long campaigns report progress incrementally.
 using ChunkFn = std::function<void(const McChunkView&)>;
 
-/// Chunked submission: samples are dispatched to the persistent thread pool
-/// in contiguous index chunks of ~`chunkSamples` (rounded up to a whole
-/// number of McOptions::sampleBlock blocks so statistical-tier warm chains
-/// never straddle a chunk), with `onChunk` invoked between chunks.
-///
-/// Because util::ThreadPool runs one index sweep at a time, a monolithic
-/// campaign holds the pool until its last sample; chunking bounds each
-/// hold to one chunk, so concurrent campaigns (the campaign server's
-/// simultaneous requests) interleave at chunk granularity instead of
-/// serializing end-to-end.  Results are bit-identical to the monolithic
-/// path: chunk geometry affects scheduling only, never RNG streams, warm
-/// chains, or reduction order.  chunkSamples <= 0 means one chunk.
-[[nodiscard]] McResult runCampaignChunked(const McOptions& options,
-                                          std::size_t metricCount,
-                                          const SampleFnEx& fn,
-                                          const BlockResourceFn& blockResource,
-                                          int chunkSamples,
-                                          const ChunkFn& onChunk);
+/// Optional hooks of the extended runCampaign form.  Chunking: samples go
+/// to the persistent thread pool in contiguous index chunks of
+/// ~chunkSamples (<= 0: one chunk), rounded up to whole sampleBlock blocks
+/// so warm chains never straddle a chunk, with onChunk called between
+/// chunks.  util::ThreadPool runs one sweep at a time, so chunking lets
+/// concurrent campaigns (the server's requests) interleave.  Chunk geometry
+/// changes scheduling only, never RNG streams, warm chains or reduction
+/// order.
+struct CampaignHooks {
+  BlockResourceFn blockResource;  ///< may be null
+  int chunkSamples = 0;
+  ChunkFn onChunk;  ///< may be null
+};
 
 [[nodiscard]] McResult runCampaign(const McOptions& options,
                                    std::size_t metricCount,
@@ -174,12 +170,31 @@ using ChunkFn = std::function<void(const McChunkView&)>;
 
 [[nodiscard]] McResult runCampaign(const McOptions& options,
                                    std::size_t metricCount,
-                                   const SampleFnEx& fn);
-
-[[nodiscard]] McResult runCampaign(const McOptions& options,
-                                   std::size_t metricCount,
                                    const SampleFnEx& fn,
-                                   const BlockResourceFn& blockResource);
+                                   const CampaignHooks& hooks = {});
+
+/// Largest dropped-sample fraction of a healthy campaign: the one budget
+/// behind every "campaign health" verdict and yield::DropPolicy's default.
+inline constexpr double kMaxDropFraction = 0.01;
+
+/// Health verdict of a campaign (or several pooled) that dropped `dropped`
+/// of its `budget` samples: OK while at most kMaxDropFraction of a
+/// non-empty budget was dropped.
+struct CampaignHealth {
+  std::size_t dropped = 0;
+  std::size_t budget = 0;
+
+  [[nodiscard]] double dropFraction() const noexcept {
+    return budget == 0 ? 1.0
+                       : static_cast<double>(dropped) /
+                             static_cast<double>(budget);
+  }
+  [[nodiscard]] bool ok() const noexcept {
+    return dropFraction() <= kMaxDropFraction;
+  }
+  /// "campaign health: OK (...)" or "campaign health: DEGRADED (...)".
+  [[nodiscard]] std::string line() const;
+};
 
 }  // namespace vsstat::mc
 

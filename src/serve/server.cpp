@@ -160,18 +160,34 @@ void CampaignServer::handleConnection(int fd) {
     writeAll(fd, line.data(), line.size());
   };
 
+  // `scanned` bytes of `buffer` are known to hold no newline, so each recv
+  // costs a scan of its own bytes only.  A line longer than
+  // kMaxRequestLineBytes is refused and the connection closed.
   std::string buffer;
+  std::size_t scanned = 0;
   char chunk[4096];
   while (true) {
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      handleLine(line, emit);
+    std::size_t lineStart = 0;
+    bool tooLong = false;
+    for (std::size_t newline = buffer.find('\n', scanned);
+         !tooLong && newline != std::string::npos;
+         newline = buffer.find('\n', lineStart)) {
+      tooLong = newline - lineStart > kMaxRequestLineBytes;
+      if (!tooLong)
+        handleLine(buffer.substr(lineStart, newline - lineStart), emit);
+      lineStart = newline + 1;
+    }
+    buffer.erase(0, lineStart);
+    scanned = buffer.size();
+    if (tooLong || buffer.size() > kMaxRequestLineBytes) {
+      emit(errorFrame("", RequestError::badRequest,
+                      "request line exceeds " +
+                          std::to_string(kMaxRequestLineBytes) + " bytes"));
+      break;
     }
   }
   ::close(fd);

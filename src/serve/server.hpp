@@ -11,10 +11,11 @@
 //
 // Concurrency model: one handler thread per connection; concurrent
 // campaigns share the process-wide util::ThreadPool, interleaving at chunk
-// granularity (mc::runCampaignChunked), and lease worker sessions from the
-// multi-tenant SessionCache -- a repeat topology+options request goes
-// warm.  The protocol core (handleLine) is socket-free so tests and
-// benches drive it in-process.
+// granularity (mc::runCampaign's chunk hooks), and lease worker sessions
+// from the multi-tenant SessionCache -- a repeat topology+options request
+// goes warm.  The protocol core (handleLine) is socket-free so tests and
+// benches drive it in-process.  A connection whose request line outgrows
+// kMaxRequestLineBytes gets a bad_request frame and is closed.
 #ifndef VSSTAT_SERVE_SERVER_HPP
 #define VSSTAT_SERVE_SERVER_HPP
 
@@ -27,6 +28,11 @@
 #include "serve/session_cache.hpp"
 
 namespace vsstat::serve {
+
+/// Longest request line a connection accepts (bytes, newline excluded).
+/// Far above any real request -- the largest deck in the tests, examples
+/// and benches is tens of KiB -- and far below what could exhaust memory.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{4} << 20;
 
 class CampaignServer {
  public:

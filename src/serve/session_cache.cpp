@@ -5,8 +5,6 @@
 #include <chrono>
 
 #include "mc/providers.hpp"
-#include "mc/samplers.hpp"
-#include "sim/rescue.hpp"
 #include "spice/waveform.hpp"
 #include "util/fnv1a.hpp"
 
@@ -35,6 +33,14 @@ void mixAlphas(util::Fnv1a& hash, const models::PelgromAlphas& a) {
   hash.mixDouble(a.aCinv);
 }
 
+/// Cache-key text: the 64-bit hash plus the deck length.
+std::string keyText(const util::Fnv1a& hash, std::size_t deckBytes) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016llx-%zu",
+                static_cast<unsigned long long>(hash.value()), deckBytes);
+  return buf;
+}
+
 /// Hashes everything that determines a pool's identity: deck text, the
 /// three session-mode axes, the variability spec, and the sampling scheme
 /// (generator schemes need FixedZProvider sessions, so they cannot share a
@@ -49,11 +55,7 @@ std::string cacheKeyOf(const CampaignRequest& req) {
   hash.mix(static_cast<std::uint64_t>(req.scheme));
   mixAlphas(hash, req.nmosAlphas);
   mixAlphas(hash, req.pmosAlphas);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx-%zu",
-                static_cast<unsigned long long>(hash.value()),
-                req.deck.size());
-  return buf;
+  return keyText(hash, req.deck.size());
 }
 
 /// Deck-plan cache key: content hash of the deck text alone (the DeckPlan
@@ -61,10 +63,7 @@ std::string cacheKeyOf(const CampaignRequest& req) {
 std::string deckKeyOf(const std::string& deck) {
   util::Fnv1a hash;
   mixString(hash, deck);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx-%zu",
-                static_cast<unsigned long long>(hash.value()), deck.size());
-  return buf;
+  return keyText(hash, deck.size());
 }
 
 double millisSince(std::chrono::steady_clock::time_point start) {
@@ -179,15 +178,10 @@ mc::McResult CampaignPlan::run(sim::SessionPool<DeckFixture>& pool,
   options.samples = request_.samples;
   options.seed = request_.seed;
   options.threads = request_.threads;
-  if (request_.mode.tier == spice::ToleranceTier::statistical)
-    options.sampleBlock = mc::kStatisticalSampleBlock;
 
   mc::SamplingPlan plan;
   plan.scheme = request_.scheme;
   plan.dimension = zDimension();
-  const std::unique_ptr<mc::SampleGenerator> generator =
-      mc::makeSampleGenerator(plan, static_cast<std::size_t>(options.samples),
-                              options.seed);
 
   // Per-sample measurement: the fixture arrives rebound for the sample.
   const std::optional<std::pair<double, double>> tran = deck_->tran;
@@ -215,42 +209,6 @@ mc::McResult CampaignPlan::run(sim::SessionPool<DeckFixture>& pool,
           out[m] = wf.finalValue(probes[m]);
       };
 
-  const sim::RescuePolicy rescue;
-  const auto armGenerator = [&](sim::CampaignSession<DeckFixture>& session,
-                                std::size_t index) {
-    if (generator == nullptr) return;
-    auto* fixed =
-        dynamic_cast<circuits::FixedZProvider*>(&session.provider());
-    require(fixed != nullptr,
-            "CampaignPlan: generator schemes require FixedZProvider "
-            "sessions");
-    fixed->setZ(generator->standardNormals(index));
-  };
-
-  // Same shape as mc::runCampaign<Fixture>, but against the SHARED pool:
-  // blocked dispatch holds one lease per warm-chain block via the
-  // thread-local slot, per-sample dispatch leases per sample.
-  const mc::SampleFnEx runSample = [&](std::size_t index, stats::Rng& rng,
-                                       std::vector<double>& out,
-                                       mc::SampleContext& ctx) {
-    if (sim::CampaignSession<DeckFixture>* block =
-            mc::detail::blockSessionSlot<DeckFixture>()) {
-      armGenerator(*block, index);
-      sim::runSampleWithRescue(index, *block, rng, out, ctx, measure, rescue);
-      return;
-    }
-    sim::SessionPool<DeckFixture>::Lease lease = pool.acquire();
-    armGenerator(*lease, index);
-    sim::runSampleWithRescue(index, *lease, rng, out, ctx, measure, rescue);
-  };
-
-  mc::BlockResourceFn blockResource;
-  if (options.sampleBlock > 0)
-    blockResource = [&pool](std::size_t) -> std::shared_ptr<void> {
-      return std::make_shared<mc::detail::BlockHold<DeckFixture>>(
-          pool.acquire());
-    };
-
   StreamingEstimator estimator(metricCount(), request_.measure.spec);
   double ttfsMs = -1.0;
   std::size_t lastKde = 0;
@@ -270,8 +228,8 @@ mc::McResult CampaignPlan::run(sim::SessionPool<DeckFixture>& pool,
   };
 
   mc::McResult result =
-      mc::runCampaignChunked(options, metricCount(), runSample, blockResource,
-                             request_.streamEvery, onChunk);
+      mc::runCampaign(options, metricCount(), pool, measure,
+                      sim::RescuePolicy{}, plan, request_.streamEvery, onChunk);
   if (ttfsMs < 0.0) ttfsMs = millisSince(start);
   if (emit)
     emit(finalFrame(request_.id, result,
@@ -282,39 +240,14 @@ mc::McResult CampaignPlan::run(sim::SessionPool<DeckFixture>& pool,
 
 std::shared_ptr<const DeckPlan> SessionCache::deckPlan(
     const std::string& deck) {
-  const std::string key = deckKeyOf(deck);
-  {
-    const std::lock_guard<std::mutex> lock(planMutex_);
-    const auto it = planByKey_.find(key);
-    if (it != planByKey_.end()) {
-      planLru_.splice(planLru_.begin(), planLru_, it->second);
-      return it->second->second;
-    }
-  }
-  // Parse outside the lock: a slow (or throwing) parse must not serialize
-  // concurrent requests.  A racing duplicate parse is harmless -- both
-  // produce equivalent immutable plans and the second insert wins nothing.
-  std::shared_ptr<const DeckPlan> plan = parseDeckPlan(deck);
-  const std::lock_guard<std::mutex> lock(planMutex_);
-  const auto it = planByKey_.find(key);
-  if (it != planByKey_.end()) {
-    planLru_.splice(planLru_.begin(), planLru_, it->second);
-    return it->second->second;
-  }
-  planLru_.emplace_front(key, plan);
-  planByKey_.emplace(key, planLru_.begin());
-  while (planLru_.size() > planCapacity_) {
-    planByKey_.erase(planLru_.back().first);
-    planLru_.pop_back();
-  }
-  return plan;
+  return plans_.acquire(deckKeyOf(deck),
+                        [&deck] { return parseDeckPlan(deck); });
 }
 
 SessionCache::Acquired SessionCache::acquire(const CampaignPlan& plan) {
   Acquired acquired;
-  acquired.warm = cache_.contains(plan.cacheKey());
-  acquired.pool =
-      cache_.acquire(plan.cacheKey(), [&plan] { return plan.makePool(); });
+  acquired.pool = cache_.acquire(
+      plan.cacheKey(), [&plan] { return plan.makePool(); }, &acquired.warm);
   return acquired;
 }
 

@@ -25,17 +25,14 @@
 //
 // Determinism: NodeIds are assigned in first-mention deck order, so the
 // validation parse and every worker's build resolve identical ids; the
-// campaign itself runs the same fork-per-sample RNG / index-order
-// reduction contract as mc::runCampaign (results are bit-identical across
-// 1/2/4/... workers and identical to an in-process campaign over the same
-// deck, seed, and axes).
+// campaign itself IS an mc::runCampaign call on the shared pool (results
+// are bit-identical across 1/2/4/... workers and identical to an
+// in-process campaign over the same deck, seed, and axes).
 #ifndef VSSTAT_SERVE_SESSION_CACHE_HPP
 #define VSSTAT_SERVE_SESSION_CACHE_HPP
 
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -47,6 +44,7 @@
 #include "serve/stream.hpp"
 #include "sim/session.hpp"
 #include "spice/netlist.hpp"
+#include "util/lru_cache.hpp"
 
 namespace vsstat::serve {
 
@@ -124,19 +122,19 @@ class CampaignPlan {
   std::vector<spice::NodeId> probeNodes_;
 };
 
-/// Multi-tenant two-level cache, thread-safe:
-///   deckPlan() -- validation-parse results keyed by deck content (its own
-///                 LRU list, same capacity), so warm requests skip the
-///                 deck parse;
+/// Multi-tenant two-level cache, thread-safe, one util::LruCache per level
+/// (same capacity):
+///   deckPlan() -- validation-parse results keyed by deck content, so warm
+///                 requests skip the deck parse;
 ///   acquire()  -- shared session pools keyed by CampaignPlan::cacheKey()
-///                 with LRU eviction (sim::SessionPoolCache), so warm
-///                 requests lease already-built worker sessions.
+///                 (sim::SessionPoolCache), so warm requests lease
+///                 already-built worker sessions.
 /// The levels need no eviction coupling: a DeckPlan is keyed by content,
 /// so a cached entry stays correct even after its pool is evicted.
 class SessionCache {
  public:
   explicit SessionCache(std::size_t capacity = 8)
-      : planCapacity_(capacity), cache_(capacity) {}
+      : plans_(capacity), cache_(capacity) {}
 
   /// Cached validation parse of `deck` (parses and caches on miss).
   [[nodiscard]] std::shared_ptr<const DeckPlan> deckPlan(
@@ -154,13 +152,7 @@ class SessionCache {
   }
 
  private:
-  using PlanLru =
-      std::list<std::pair<std::string, std::shared_ptr<const DeckPlan>>>;
-
-  std::mutex planMutex_;
-  std::size_t planCapacity_;
-  PlanLru planLru_;  ///< front = most recently used
-  std::unordered_map<std::string, PlanLru::iterator> planByKey_;
+  util::LruCache<const DeckPlan> plans_;
   sim::SessionPoolCache<DeckFixture> cache_;
 };
 

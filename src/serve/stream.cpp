@@ -19,13 +19,14 @@ void StreamingEstimator::fold(const mc::McChunkView& view) {
   for (std::size_t i = view.first; i < view.end; ++i) {
     const std::size_t local = i - view.first;
     ++done_;
-    rescued_ += view.rescues[local];
     if (view.ok[local] == 0) {
       ++failures_;
       const int cls = view.failureClass[local];
       if (cls >= 0 && cls < kFailureClassCount) ++failuresByClass_[cls];
       continue;
     }
+    // Samples, not attempts: the final frame's McResult::rescued count.
+    if (view.contexts[local].rescueAttempts > 0) ++rescued_;
     const double x = view.metrics[local * view.metricCount];
     moments_.add(x);
     q05_.add(x);
@@ -156,8 +157,7 @@ std::string kdeFrame(const std::string& id, const StreamingEstimator& est,
 std::string finalFrame(const std::string& id, const mc::McResult& result,
                        std::size_t totalSamples,
                        const std::optional<yield::SpecLimit>& spec, bool warm,
-                       double ttfsMs, double elapsedMs,
-                       double maxDegradedFraction) {
+                       double ttfsMs, double elapsedMs) {
   const std::vector<double>& values = result.metrics.at(0);
   const stats::Summary summary =
       values.empty() ? stats::Summary{} : stats::summarize(values);
@@ -213,12 +213,10 @@ std::string finalFrame(const std::string& id, const mc::McResult& result,
   appendJsonString(out, hashBuf);
   out += ",\"cache\":";
   appendJsonString(out, warm ? "warm" : "cold");
-  const bool healthy =
-      totalSamples > 0 &&
-      static_cast<double>(result.failures) <=
-          maxDegradedFraction * static_cast<double>(totalSamples);
+  const mc::CampaignHealth health{static_cast<std::size_t>(result.failures),
+                                  totalSamples};
   out += ",\"health\":";
-  appendJsonString(out, healthy ? "OK" : "DEGRADED");
+  appendJsonString(out, health.ok() ? "OK" : "DEGRADED");
   out += ',';
   appendNumberField(out, "ttfs_ms", ttfsMs);
   out += ',';

@@ -59,8 +59,9 @@ namespace vsstat::serve {
 /// Folds completed campaign chunks (mc::McChunkView, index order) into
 /// running statistics for progress frames: Welford moments and P-squared
 /// quantiles of metric 0, streamed pass counts against the optional spec
-/// window, per-class failure counts, rescues.  Metric-0 survivor values
-/// are retained verbatim -- KDE snapshots and exactness checks need them.
+/// window, per-class failure counts, rescued samples.  Metric-0 survivor
+/// values are retained verbatim -- KDE snapshots and exactness checks need
+/// them.
 class StreamingEstimator {
  public:
   StreamingEstimator(std::size_t metricCount,
@@ -126,13 +127,13 @@ class StreamingEstimator {
 
 /// Builds the exact final frame from the finished campaign result.
 /// `warm` reports whether the request leased a cached session pool; health
-/// is "OK" when no more than `maxDegradedFraction` of the budget failed.
+/// is the mc::CampaignHealth verdict over (failures, totalSamples).
 [[nodiscard]] std::string finalFrame(const std::string& id,
                                      const mc::McResult& result,
                                      std::size_t totalSamples,
                                      const std::optional<yield::SpecLimit>& spec,
-                                     bool warm, double ttfsMs, double elapsedMs,
-                                     double maxDegradedFraction = 0.05);
+                                     bool warm, double ttfsMs,
+                                     double elapsedMs);
 
 [[nodiscard]] std::string errorFrame(const std::string& id, RequestError code,
                                      const std::string& message, int line = 0);

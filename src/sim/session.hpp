@@ -35,11 +35,8 @@
 #define VSSTAT_SIM_SESSION_HPP
 
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -49,6 +46,7 @@
 #include "spice/session.hpp"
 #include "stats/rng.hpp"
 #include "util/error.hpp"
+#include "util/lru_cache.hpp"
 
 namespace vsstat::sim {
 
@@ -195,6 +193,11 @@ class SessionPool {
     return Lease(*this, *raw);
   }
 
+  /// Session modes every session of this pool is built with.
+  [[nodiscard]] const spice::SessionOptions& options() const noexcept {
+    return spiceOptions_;
+  }
+
   /// Sessions built so far (telemetry: bounded by peak worker concurrency).
   [[nodiscard]] std::size_t sessionCount() const {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -215,93 +218,14 @@ class SessionPool {
   std::vector<CampaignSession<Fixture>*> free_;
 };
 
-/// Multi-tenant session-pool cache: keyed pools with LRU eviction.
-///
-/// A SessionPool amortizes fixture construction across the samples of ONE
-/// campaign; a long-lived service (serve/) runs many campaigns over a
-/// recurring set of topologies and wants to amortize across REQUESTS too.
-/// The cache maps an opaque key -- the campaign server hashes deck text +
-/// session-mode axes + variability spec into it -- to a shared pool, so a
-/// repeat request leases already-built (warm) worker sessions instead of
-/// re-parsing and re-priming from scratch.
-///
-/// Pools are handed out as shared_ptr: eviction only drops the cache's
-/// reference, so a campaign still running on an evicted pool keeps its
-/// sessions alive until its last lease returns.  Distinct keys never share
-/// sessions, which is what keeps the per-key determinism contract intact:
-/// a pool's results depend only on its own build/provider/options triple.
+/// Multi-tenant session-pool cache: a long-lived service (serve/) keys
+/// shared pools by deck text + session-mode axes + variability spec, so a
+/// repeat request leases already-built (warm) worker sessions.  Distinct
+/// keys never share sessions, which keeps the per-key determinism contract
+/// intact; eviction leaves a running campaign's pool alive until its last
+/// lease returns.
 template <class Fixture>
-class SessionPoolCache {
- public:
-  using Pool = SessionPool<Fixture>;
-  /// Invoked under the cache lock on a miss; must not re-enter the cache.
-  using PoolFactory = std::function<std::shared_ptr<Pool>()>;
-
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t evictions = 0;
-  };
-
-  explicit SessionPoolCache(std::size_t capacity) : capacity_(capacity) {
-    require(capacity > 0, "SessionPoolCache: capacity must be > 0");
-  }
-
-  /// Returns the pool for `key`, building it via `makePool` on a miss and
-  /// evicting the least-recently-used entry when over capacity.  Building
-  /// a pool is cheap (sessions are built lazily on first lease), so the
-  /// factory runs under the lock -- concurrent requests for the same key
-  /// always converge on one shared pool.
-  [[nodiscard]] std::shared_ptr<Pool> acquire(const std::string& key,
-                                              const PoolFactory& makePool) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.position);
-      return it->second.pool;
-    }
-    ++stats_.misses;
-    std::shared_ptr<Pool> pool = makePool();
-    require(pool != nullptr, "SessionPoolCache: factory returned null");
-    lru_.push_front(key);
-    entries_.emplace(key, Entry{pool, lru_.begin()});
-    while (entries_.size() > capacity_) {
-      ++stats_.evictions;
-      entries_.erase(lru_.back());
-      lru_.pop_back();
-    }
-    return pool;
-  }
-
-  /// True when the key is resident (does not touch recency; telemetry/tests).
-  [[nodiscard]] bool contains(const std::string& key) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.count(key) != 0;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-  }
-
-  [[nodiscard]] Stats stats() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<Pool> pool;
-    typename std::list<std::string>::iterator position;
-  };
-
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::list<std::string> lru_;  ///< front = most recently used
-  std::unordered_map<std::string, Entry> entries_;
-  Stats stats_;
-};
+using SessionPoolCache = util::LruCache<SessionPool<Fixture>>;
 
 }  // namespace vsstat::sim
 

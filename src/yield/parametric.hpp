@@ -87,7 +87,7 @@ class DroppedSamplesError : public Error {
 struct DropPolicy {
   DroppedSamplePolicy mode = DroppedSamplePolicy::countAsFail;
   /// Largest acceptable failures / samples ratio under errorAboveThreshold.
-  double maxDropFraction = 0.01;
+  double maxDropFraction = mc::kMaxDropFraction;
 };
 
 /// Yield of campaign metric `metricIndex` against `spec` under an explicit

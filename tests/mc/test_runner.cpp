@@ -120,15 +120,30 @@ TEST(McRunner, NonSampleFailuresPropagateOutOfTheCampaign) {
 TEST(McRunner, RescuedSamplesAreCountedViaTheSampleContext) {
   McOptions opt;
   opt.samples = 30;
+  opt.sampleBlock = 4;
+  // Chunks of 7 round up to whole blocks (8); each chunk view carries the
+  // contexts the final reduction counts.
+  std::vector<std::size_t> chunkStarts;
+  int rescuedInChunks = 0;
+  CampaignHooks hooks;
+  hooks.chunkSamples = 7;
+  hooks.onChunk = [&](const McChunkView& view) {
+    chunkStarts.push_back(view.first);
+    for (std::size_t k = 0; k < view.end - view.first; ++k)
+      if (view.contexts[k].rescueAttempts > 0) ++rescuedInChunks;
+  };
   const McResult r = runCampaign(
       opt, 1,
       SampleFnEx([](std::size_t i, stats::Rng&, std::vector<double>& out,
                     SampleContext& ctx) {
         out[0] = 1.0;
-        if (i % 3 == 0) ctx.rescueAttempts = 1;  // simulated ladder rescue
-      }));
+        if (i % 3 == 0) ctx.rescueAttempts = 1 + static_cast<int>(i % 4);
+      }),
+      hooks);
   EXPECT_EQ(r.failures, 0);
-  EXPECT_EQ(r.rescued, 10);
+  EXPECT_EQ(r.rescued, 10) << "samples, not attempts";
+  EXPECT_EQ(rescuedInChunks, 10);
+  EXPECT_EQ(chunkStarts, (std::vector<std::size_t>{0, 8, 16, 24}));
 }
 
 TEST(McRunner, DifferentSeedsGiveDifferentStreams) {
@@ -174,6 +189,17 @@ TEST(McRunner, RejectsBadOptions) {
       runCampaign(opt, 1,
                   [](std::size_t, stats::Rng&, std::vector<double>&) {}),
       InvalidArgumentError);
+}
+
+TEST(CampaignHealth, OneBudgetDecidesOkOrDegraded) {
+  EXPECT_TRUE((CampaignHealth{0, 100}).ok());
+  EXPECT_TRUE((CampaignHealth{1, 100}).ok()) << "exactly at the budget";
+  EXPECT_FALSE((CampaignHealth{2, 100}).ok());
+  EXPECT_FALSE((CampaignHealth{0, 0}).ok()) << "an empty budget is no run";
+  EXPECT_EQ((CampaignHealth{1, 100}).line(),
+            "campaign health: OK (drop fraction 1.00 % within 1 % budget)");
+  EXPECT_EQ((CampaignHealth{3, 100}).line(),
+            "campaign health: DEGRADED (drop fraction 3.00 % > 1 % budget)");
 }
 
 }  // namespace

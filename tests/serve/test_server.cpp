@@ -1,14 +1,20 @@
 // Campaign-server integration (serve/server.hpp): the protocol core end to
 // end -- classified error frames, streamed campaigns whose final statistics
 // are BIT-equal to a same-seed in-process mc::runCampaign at 1/2/4
-// workers (a .tran request too, at 1/2), warm session-cache reuse, and two
-// campaigns interleaving through the shared thread pool.
+// workers (a .tran request too, at 1/2), warm session-cache reuse, two
+// campaigns interleaving through the shared thread pool, and the socket
+// transport's line framing and request-line cap.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -363,6 +369,98 @@ TEST(CampaignServer, StatisticalTierStreamsBlockedChunks) {
   EXPECT_EQ(frame.find("health")->string, "OK");
   ASSERT_NE(frame.find("yield"), nullptr);
   EXPECT_FALSE(frame.find("yield")->isNull());
+}
+
+// --- socket transport --------------------------------------------------------
+
+/// A server accepting on a fresh unix socket, and one connected client.
+class SocketSession {
+ public:
+  SocketSession()
+      : path_(testing::TempDir() + "vsstat_serve_" +
+              std::to_string(::getpid()) + ".sock") {
+    server_.listenUnix(path_);
+    serving_ = std::thread([this] { server_.serve(); });
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+  }
+  ~SocketSession() {
+    ::close(fd_);
+    server_.stop();
+    serving_.join();
+    ::unlink(path_.c_str());
+  }
+
+  /// Sends `bytes`; false once the server has closed the connection.
+  bool send(const std::string& bytes) const {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+  /// Reads until `lines` frames arrived or the server closed; returns the
+  /// frames without their newlines.
+  std::vector<std::string> receive(std::size_t lines) const {
+    std::string text;
+    char buf[4096];
+    while (static_cast<std::size_t>(
+               std::count(text.begin(), text.end(), '\n')) < lines) {
+      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+      if (n <= 0) break;
+      text.append(buf, static_cast<std::size_t>(n));
+    }
+    std::vector<std::string> frames;
+    for (std::size_t start = 0, end; (end = text.find('\n', start)) !=
+                                     std::string::npos;
+         start = end + 1)
+      frames.push_back(text.substr(start, end - start));
+    return frames;
+  }
+  int fd() const noexcept { return fd_; }
+
+ private:
+  std::string path_;
+  CampaignServer server_;
+  std::thread serving_;
+  int fd_ = -1;
+};
+
+TEST(CampaignServer, SocketSplitsLinesAcrossAndWithinReads) {
+  const SocketSession session;
+  const std::string a = makeRequest("a", kInverterDeck, 8, 1, 8);
+  const std::string b = makeRequest("b", kDividerDeck, 8, 1, 8);
+  // Two requests in one write, then one split mid-line across two writes.
+  ASSERT_TRUE(session.send(a + "\n" + b + "\n" + a.substr(0, 10)));
+  ASSERT_TRUE(session.send(a.substr(10) + "\n"));
+  std::vector<std::string> finals;
+  for (const std::string& f : session.receive(6))
+    if (f.find("\"type\":\"final\"") != std::string::npos) finals.push_back(f);
+  ASSERT_EQ(finals.size(), 3u);
+  EXPECT_EQ(parseJson(finals[0]).find("id")->string, "a");
+  EXPECT_EQ(parseJson(finals[1]).find("id")->string, "b");
+  EXPECT_EQ(parseJson(finals[2]).find("cache")->string, "warm");
+}
+
+TEST(CampaignServer, OverlongRequestLineIsRefusedAndClosed) {
+  const SocketSession session;
+  // 64 MiB with no newline, written from its own thread: the server stops
+  // reading at kMaxRequestLineBytes, so the writer sees the peer go away.
+  std::thread writer([&session] {
+    const std::string block(std::size_t{1} << 20, 'x');
+    for (int i = 0; i < 64 && session.send(block); ++i) {
+    }
+  });
+  const std::vector<std::string> frames = session.receive(2);
+  writer.join();
+  ASSERT_EQ(frames.size(), 1u) << "one error frame, then the close";
+  const JsonValue frame = parseJson(frames[0]);
+  EXPECT_EQ(frame.find("type")->string, "error");
+  EXPECT_EQ(frame.find("code")->string, "bad_request");
+  char byte;
+  EXPECT_LE(::recv(session.fd(), &byte, 1, 0), 0) << "connection closed";
 }
 
 }  // namespace

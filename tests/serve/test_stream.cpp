@@ -17,11 +17,13 @@ namespace vsstat::serve {
 namespace {
 
 /// Feeds `values` to an estimator as synthetic chunks of `chunk` samples;
-/// indices `failAt` are marked failed (metricDomain) instead.
+/// indices `failAt` are marked failed (metricDomain) instead, indices
+/// `rescuedAt` succeed on the rescue ladder's third attempt.
 StreamingEstimator foldChunks(const std::vector<double>& values,
                               std::size_t chunk,
                               const std::vector<std::size_t>& failAt = {},
-                              std::optional<yield::SpecLimit> spec = {}) {
+                              std::optional<yield::SpecLimit> spec = {},
+                              const std::vector<std::size_t>& rescuedAt = {}) {
   StreamingEstimator est(1, spec);
   for (std::size_t first = 0; first < values.size(); first += chunk) {
     const std::size_t end = std::min(values.size(), first + chunk);
@@ -31,7 +33,9 @@ StreamingEstimator foldChunks(const std::vector<double>& values,
                                     static_cast<std::ptrdiff_t>(end));
     std::vector<char> ok(end - first, 1);
     std::vector<signed char> cls(end - first, -1);
-    std::vector<int> rescues(end - first, 0);
+    std::vector<mc::SampleContext> contexts(end - first);
+    for (const std::size_t r : rescuedAt)
+      if (r >= first && r < end) contexts[r - first].rescueAttempts = 3;
     for (const std::size_t f : failAt)
       if (f >= first && f < end) {
         ok[f - first] = 0;
@@ -46,7 +50,7 @@ StreamingEstimator foldChunks(const std::vector<double>& values,
     view.metrics = metrics.data();
     view.ok = ok.data();
     view.failureClass = cls.data();
-    view.rescues = rescues.data();
+    view.contexts = contexts.data();
     est.fold(view);
   }
   return est;
@@ -72,13 +76,17 @@ TEST(StreamingEstimator, CountsFailuresPerClassAndYieldsConservatively) {
   std::vector<double> values(100, 0.5);
   yield::SpecLimit spec;
   spec.upper = 1.0;
-  const StreamingEstimator est = foldChunks(values, 32, {3, 50, 97}, spec);
+  const StreamingEstimator est =
+      foldChunks(values, 32, {3, 50, 97}, spec, /*rescuedAt=*/{40});
   EXPECT_EQ(est.done(), 100u);
   EXPECT_EQ(est.okCount(), 97u);
   EXPECT_EQ(est.failureCount(), 3u);
   EXPECT_EQ(est.failureOf(static_cast<std::size_t>(
                 FailureClass::metricDomain)),
             3);
+  // One sample rescued on its third attempt counts once, as in the final
+  // frame (McResult::rescued counts samples, not attempts).
+  EXPECT_EQ(est.rescued(), 1);
   // countAsFail semantics: 97 passing survivors over 100 budgeted samples.
   ASSERT_TRUE(est.runningYield().has_value());
   EXPECT_DOUBLE_EQ(*est.runningYield(), 0.97);
@@ -134,7 +142,7 @@ TEST(Frames, FinalFrameIsExactAndHashed) {
   EXPECT_DOUBLE_EQ(frame.find("yield")->find("passed")->number,
                    static_cast<double>(y.passed));
   EXPECT_EQ(frame.find("cache")->string, "warm");
-  // 1 failure in 5 samples = 20% > the 5% degradation threshold.
+  // 1 failure in 5 samples = 20% > mc::kMaxDropFraction.
   EXPECT_EQ(frame.find("health")->string, "DEGRADED");
   EXPECT_EQ(frame.find("metrics_fnv1a")->string.substr(0, 2), "0x");
 }

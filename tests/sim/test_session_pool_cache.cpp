@@ -38,17 +38,19 @@ models::PelgromAlphas someAlphas() {
   return a;
 }
 
+GateFo3Bench buildInv(circuits::DeviceProvider& p) {
+  return circuits::buildInvFo3(p, circuits::CellSizing{},
+                               circuits::StimulusSpec{});
+}
+
+std::unique_ptr<circuits::DeviceProvider> makeInvProvider() {
+  return std::make_unique<mc::VsStatisticalProvider>(
+      models::defaultVsNmos(), models::defaultVsPmos(), someAlphas(),
+      someAlphas(), stats::Rng(0));
+}
+
 std::shared_ptr<Pool> makeInvPool() {
-  return std::make_shared<Pool>(
-      [](circuits::DeviceProvider& p) {
-        return circuits::buildInvFo3(p, circuits::CellSizing{},
-                                     circuits::StimulusSpec{});
-      },
-      [] {
-        return std::make_unique<mc::VsStatisticalProvider>(
-            models::defaultVsNmos(), models::defaultVsPmos(), someAlphas(),
-            someAlphas(), stats::Rng(0));
-      });
+  return std::make_shared<Pool>(buildInv, makeInvProvider);
 }
 
 TEST(SessionPoolCache, HitMissAccounting) {
@@ -102,50 +104,68 @@ TEST(SessionPoolCache, CapacityMustBePositive) {
 // --- determinism across cached/shared pools --------------------------------
 
 constexpr double kInvDt = 0.5e-12;
+constexpr int kCampaignSamples = 70;
 
-/// Runs the INV Fo3 delay campaign against an explicit shared pool, the
-/// way the campaign server does (per-sample leases, no blocked dispatch).
-mc::McResult campaignOnPool(Pool& pool, int samples, unsigned threads) {
+mc::McOptions campaignOptions(unsigned threads) {
   mc::McOptions opt;
-  opt.samples = samples;
+  opt.samples = kCampaignSamples;
   opt.seed = 321;
   opt.threads = threads;
-  const sim::RescuePolicy rescue;
-  const auto measureDelay = [](std::size_t,
-                               CampaignSession<GateFo3Bench>& session,
-                               stats::Rng&, std::vector<double>& out) {
-    out[0] = measure::measureGateDelays(session.fixture(), session.spice(),
-                                        kInvDt)
-                 .average();
-  };
-  return mc::runCampaign(
-      opt, 1,
-      mc::SampleFnEx([&](std::size_t index, stats::Rng& rng,
-                         std::vector<double>& out, mc::SampleContext& ctx) {
-        Pool::Lease lease = pool.acquire();
-        sim::runSampleWithRescue(index, *lease, rng, out, ctx, measureDelay,
-                                 rescue);
-      }),
-      mc::BlockResourceFn{});
+  return opt;
+}
+
+void measureDelay(std::size_t, CampaignSession<GateFo3Bench>& session,
+                  stats::Rng&, std::vector<double>& out) {
+  out[0] =
+      measure::measureGateDelays(session.fixture(), session.spice(), kInvDt)
+          .average();
+}
+
+/// Runs the INV Fo3 delay campaign against an explicit shared pool in
+/// chunks, the way the campaign server does; the chunk callbacks must tile
+/// the budget in index order.
+mc::McResult campaignOnPool(Pool& pool, unsigned threads, int chunkSamples) {
+  std::size_t next = 0;
+  const mc::McResult result = mc::runCampaign<GateFo3Bench>(
+      campaignOptions(threads), 1, pool, measureDelay, RescuePolicy{},
+      mc::SamplingPlan{}, chunkSamples, [&next](const mc::McChunkView& view) {
+        EXPECT_EQ(view.first, next);
+        next = view.end;
+      });
+  EXPECT_EQ(next, static_cast<std::size_t>(kCampaignSamples));
+  return result;
 }
 
 TEST(SessionPoolCache, CachedPoolCampaignsBitIdenticalAcrossWorkers) {
-  Cache cache(2);
-  const std::shared_ptr<Pool> pool = cache.acquire("inv", makeInvPool);
+  for (const spice::ToleranceTier tier :
+       {spice::ToleranceTier::perSample, spice::ToleranceTier::statistical}) {
+    spice::SessionOptions options;
+    options.tier = tier;
+    // The reference: the builder form on its own fresh pool, 1 worker.
+    const mc::McResult reference = mc::runCampaign<GateFo3Bench>(
+        campaignOptions(1), 1, buildInv, makeInvProvider, measureDelay,
+        options);
+    ASSERT_GT(reference.sampleCount(), 0u);
 
-  // Cold pool, 1 worker -- the reference.
-  const mc::McResult reference = campaignOnPool(*pool, 10, 1);
-  ASSERT_GT(reference.sampleCount(), 0u);
-
-  // Re-acquired (warm) pool at 2 and 4 workers: same bits.  The pool's
-  // sessions are now primed from the first campaign, which must not matter.
-  for (const unsigned threads : {2u, 4u}) {
-    const std::shared_ptr<Pool> warm = cache.acquire("inv", makeInvPool);
-    ASSERT_EQ(warm.get(), pool.get());
-    const mc::McResult repeat = campaignOnPool(*warm, 10, threads);
-    ASSERT_EQ(repeat.metrics[0].size(), reference.metrics[0].size());
-    EXPECT_EQ(repeat.metrics[0], reference.metrics[0])
-        << threads << " workers";
+    // One cached pool, re-acquired (warm) for every run: one chunk, then
+    // chunks of 1, 7 and 33 samples (33 is not a multiple of the 32-sample
+    // warm-chain block), each at 1, 2 and 4 workers.  Sessions primed by
+    // earlier runs must not matter.
+    Cache cache(2);
+    const std::string key = spice::toString(tier);
+    for (const int chunk : {0, 1, 7, 33})
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        const std::shared_ptr<Pool> pool = cache.acquire(key, [&options] {
+          return std::make_shared<Pool>(buildInv, makeInvProvider, options);
+        });
+        const mc::McResult repeat = campaignOnPool(*pool, threads, chunk);
+        EXPECT_EQ(repeat.metrics[0], reference.metrics[0])
+            << spice::toString(tier) << " tier, chunk " << chunk << ", "
+            << threads << " workers";
+        EXPECT_EQ(repeat.failures, reference.failures);
+        EXPECT_EQ(repeat.rescued, reference.rescued);
+      }
+    EXPECT_EQ(cache.stats().misses, 1u);
   }
 }
 
