@@ -80,27 +80,15 @@ std::unique_ptr<circuits::DeviceProvider> makeFixedZProvider(
 using ButterflyPool = sim::SessionPool<circuits::SramButterflyBench>;
 using ButterflySession = sim::CampaignSession<circuits::SramButterflyBench>;
 
-/// One warm-chain block's READ + HOLD leases (statistical tier): published
-/// through a thread-local so the block's samples reuse the same pair of
-/// sessions, which is what makes sample-to-sample warm starts reproducible
-/// across worker counts.
+/// One sample's READ + HOLD leases.  In the statistical tier one pair spans
+/// a warm-chain block (mc::SampleContext::block), so the block's samples
+/// reuse the same pair of sessions, which is what makes sample-to-sample
+/// warm starts reproducible across worker counts.
 struct StagePair {
   ButterflyPool::Lease read;
   ButterflyPool::Lease hold;
   StagePair(ButterflyPool::Lease r, ButterflyPool::Lease h)
       : read(std::move(r)), hold(std::move(h)) {}
-};
-
-thread_local StagePair* tlsStagePair = nullptr;
-
-struct BlockPair : StagePair {
-  BlockPair(ButterflyPool::Lease r, ButterflyPool::Lease h)
-      : StagePair(std::move(r), std::move(h)) {
-    read->coldStart();
-    hold->coldStart();
-    tlsStagePair = this;
-  }
-  ~BlockPair() { tlsStagePair = nullptr; }
 };
 
 /// Per-class failure/rescue accounting of a campaign (mc::McResult
@@ -251,16 +239,20 @@ int main(int argc, char** argv) {
     // worker count.
     mcOpt.sampleBlock = mc::kStatisticalSampleBlock;
     hooks.blockResource = [&](std::size_t) -> std::shared_ptr<void> {
-      return std::make_shared<BlockPair>(readPool.acquire(),
-                                         holdPool.acquire());
+      auto pair = std::make_shared<StagePair>(readPool.acquire(),
+                                              holdPool.acquire());
+      pair->read->coldStart();
+      pair->hold->coldStart();
+      return pair;
     };
   }
   const mc::McResult r = mc::runCampaign(
       mcOpt, 2,
       mc::SampleFnEx([&](std::size_t, stats::Rng& rng,
                          std::vector<double>& out, mc::SampleContext& ctx) {
-        if (StagePair* block = tlsStagePair) {
-          measurePair(*block->read, *block->hold, rng, out, ctx);
+        if (ctx.block != nullptr) {
+          StagePair& block = *static_cast<StagePair*>(ctx.block);
+          measurePair(*block.read, *block.hold, rng, out, ctx);
           return;
         }
         StagePair pair(readPool.acquire(), holdPool.acquire());

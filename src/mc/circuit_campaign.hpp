@@ -33,7 +33,6 @@
 
 #include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "mc/runner.hpp"
@@ -102,23 +101,14 @@ template <class Fixture>
       plan, static_cast<std::size_t>(effective.samples), effective.seed);
 
   // Blocked dispatch holds one lease per warm-chain block, cold-started at
-  // its head and published to its samples through this worker's slot;
-  // restoring the caller's slot keeps nested same-fixture campaigns apart.
-  static thread_local Session* blockSession = nullptr;
+  // its head; the runner hands it to the block's samples as ctx.block.
   using Lease = typename sim::SessionPool<Fixture>::Lease;
-  struct BlockHold {
-    Lease lease;
-    Session* caller;
-    explicit BlockHold(Lease l)
-        : lease(std::move(l)), caller(std::exchange(blockSession, &*lease)) {
-      lease->coldStart();
-    }
-    ~BlockHold() { blockSession = caller; }
-  };
   CampaignHooks hooks{nullptr, chunkSamples, onChunk};
   if (effective.sampleBlock > 0)
     hooks.blockResource = [&pool](std::size_t) -> std::shared_ptr<void> {
-      return std::make_shared<BlockHold>(pool.acquire());
+      auto lease = std::make_shared<Lease>(pool.acquire());
+      (*lease)->coldStart();
+      return lease;
     };
 
   const auto runSample = [&](Session& session, std::size_t index,
@@ -143,8 +133,8 @@ template <class Fixture>
       effective, metricCount,
       SampleFnEx([&](std::size_t index, stats::Rng& rng,
                      std::vector<double>& out, SampleContext& ctx) {
-        if (effective.sampleBlock > 0) {
-          runSample(*blockSession, index, rng, out, ctx);
+        if (ctx.block != nullptr) {
+          runSample(**static_cast<Lease*>(ctx.block), index, rng, out, ctx);
         } else {
           Lease lease = pool.acquire();
           runSample(*lease, index, rng, out, ctx);

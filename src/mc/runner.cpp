@@ -35,7 +35,7 @@ McResult runCampaign(const McOptions& options, std::size_t metricCount,
   std::vector<std::string> failMessage(n);
   const stats::Rng campaign(options.seed);
 
-  const auto runOne = [&](std::size_t i) {
+  const auto runOne = [&](std::size_t i, void* block) {
     stats::Rng rng = campaign.fork(i);
     // Per-worker scratch, reused across every sample this thread runs
     // (and across campaigns -- pool workers are persistent).  assign()
@@ -53,11 +53,13 @@ McResult runCampaign(const McOptions& options, std::size_t metricCount,
       ~DepthGuard() { --d; }
     } guard{depth};
     SampleContext ctx;
+    ctx.block = block;
     try {
       fn(i, rng, out, ctx);
       if (out.size() < metricCount) return;  // malformed sample: dropped
       std::copy_n(out.begin(), metricCount, flat.begin() + i * metricCount);
       ok[i] = 1;
+      ctx.block = nullptr;  // the block's resource does not outlive it
       contexts[i] = ctx;
     } catch (const SampleFailure& e) {
       // A classified dropped corner (non-convergence, singular
@@ -103,12 +105,13 @@ McResult runCampaign(const McOptions& options, std::size_t metricCount,
             const std::shared_ptr<void> resource =
                 hooks.blockResource ? hooks.blockResource(b) : nullptr;
             const std::size_t blockEnd = std::min(end, (b + 1) * block);
-            for (std::size_t i = b * block; i < blockEnd; ++i) runOne(i);
+            for (std::size_t i = b * block; i < blockEnd; ++i)
+              runOne(i, resource.get());
           },
           options.threads);
     } else {
       util::parallelFor(
-          end - start, [&](std::size_t k) { runOne(start + k); },
+          end - start, [&](std::size_t k) { runOne(start + k, nullptr); },
           options.threads);
     }
     if (hooks.onChunk) {

@@ -107,6 +107,10 @@ struct SampleContext {
   std::uint64_t newtonIterations = 0;
   std::uint64_t warmStartHits = 0;
   std::uint64_t warmStartOpportunities = 0;
+  /// Set by the runner, not the sample: the resource that
+  /// CampaignHooks::blockResource returned for this sample's block, null
+  /// outside blocked campaigns.  Valid for the duration of the call.
+  void* block = nullptr;
 };
 
 /// Sample function: fills `out` (size metricCount) for the given sample.
@@ -121,7 +125,8 @@ using SampleFnEx = std::function<void(
 /// Block-scoped resource hook for blocked campaigns (McOptions::
 /// sampleBlock > 0): invoked on the executing worker before a block's
 /// first sample; the returned owner lives until the block's last sample
-/// finished.  Circuit campaigns hold one session lease per warm chain.
+/// finished and reaches each of them as SampleContext::block.  Circuit
+/// campaigns hold one session lease per warm chain.
 using BlockResourceFn =
     std::function<std::shared_ptr<void>(std::size_t blockIndex)>;
 
@@ -174,7 +179,7 @@ struct CampaignHooks {
                                    const CampaignHooks& hooks = {});
 
 /// Largest dropped-sample fraction of a healthy campaign: the one budget
-/// behind every "campaign health" verdict and yield::DropPolicy's default.
+/// behind every "campaign health" verdict.
 inline constexpr double kMaxDropFraction = 0.01;
 
 /// Health verdict of a campaign (or several pooled) that dropped `dropped`

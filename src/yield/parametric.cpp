@@ -1,7 +1,6 @@
 #include "yield/parametric.hpp"
 
 #include <cmath>
-#include <string>
 
 #include "stats/qq.hpp"
 #include "util/error.hpp"
@@ -65,21 +64,6 @@ YieldEstimate yieldOfCampaign(const mc::McResult& result,
   const long dropped = result.failures;
   const long total = survivors + dropped;
   require(total > 0, "yieldOfCampaign: empty campaign");
-
-  if (policy.mode == DroppedSamplePolicy::errorAboveThreshold) {
-    const double fraction =
-        static_cast<double>(dropped) / static_cast<double>(total);
-    if (fraction > policy.maxDropFraction) {
-      throw DroppedSamplesError(
-          "yieldOfCampaign: " + std::to_string(dropped) + " of " +
-          std::to_string(total) + " samples were dropped (" +
-          std::to_string(fraction) + " > allowed " +
-          std::to_string(policy.maxDropFraction) +
-          "); first failure: " +
-          (result.firstFailure.valid ? result.firstFailure.message
-                                     : std::string("<none recorded>")));
-    }
-  }
 
   long passed = 0;
   for (double v : samples) passed += spec.passes(v) ? 1 : 0;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "mc/runner.hpp"
-#include "util/error.hpp"
 
 namespace vsstat::yield {
 
@@ -70,24 +69,13 @@ enum class DroppedSamplePolicy {
   countAsFail,
   /// Dropped samples are excluded from the denominator (the legacy
   /// renormalizing behavior, now explicit -- optimistic on tail metrics).
+  /// Pair it with an mc::CampaignHealth check so a degraded campaign fails
+  /// loudly instead of reporting a biased number.
   drop,
-  /// Like `drop`, but throws DroppedSamplesError when the dropped fraction
-  /// exceeds `maxDropFraction` -- for unattended flows where a silently
-  /// degraded campaign must fail loudly instead of reporting a biased
-  /// number.
-  errorAboveThreshold,
-};
-
-/// Thrown by the errorAboveThreshold policy.
-class DroppedSamplesError : public Error {
- public:
-  explicit DroppedSamplesError(const std::string& what) : Error(what) {}
 };
 
 struct DropPolicy {
   DroppedSamplePolicy mode = DroppedSamplePolicy::countAsFail;
-  /// Largest acceptable failures / samples ratio under errorAboveThreshold.
-  double maxDropFraction = mc::kMaxDropFraction;
 };
 
 /// Yield of campaign metric `metricIndex` against `spec` under an explicit

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "stats/descriptive.hpp"
@@ -144,6 +145,31 @@ TEST(McRunner, RescuedSamplesAreCountedViaTheSampleContext) {
   EXPECT_EQ(r.rescued, 10) << "samples, not attempts";
   EXPECT_EQ(rescuedInChunks, 10);
   EXPECT_EQ(chunkStarts, (std::vector<std::size_t>{0, 8, 16, 24}));
+}
+
+TEST(McRunner, EachSampleReceivesItsBlocksResource) {
+  McOptions opt;
+  opt.samples = 22;
+  opt.sampleBlock = 5;
+  opt.threads = 3;
+  CampaignHooks hooks;
+  hooks.blockResource = [](std::size_t b) -> std::shared_ptr<void> {
+    return std::make_shared<std::size_t>(b);
+  };
+  const auto blockOf = [](std::size_t, stats::Rng&, std::vector<double>& out,
+                          SampleContext& ctx) {
+    out[0] = ctx.block == nullptr
+                 ? -1.0
+                 : static_cast<double>(*static_cast<std::size_t*>(ctx.block));
+  };
+  const McResult blocked = runCampaign(opt, 1, SampleFnEx(blockOf), hooks);
+  ASSERT_EQ(blocked.sampleCount(), 22u);
+  for (std::size_t i = 0; i < 22; ++i)
+    EXPECT_EQ(blocked.metrics[0][i], static_cast<double>(i / 5)) << i;
+
+  opt.sampleBlock = 0;
+  const McResult unblocked = runCampaign(opt, 1, SampleFnEx(blockOf), hooks);
+  for (double v : unblocked.metrics[0]) EXPECT_EQ(v, -1.0);
 }
 
 TEST(McRunner, DifferentSeedsGiveDifferentStreams) {
