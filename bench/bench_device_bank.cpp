@@ -1,17 +1,17 @@
-// Device-bank benchmark: scalar per-element MOSFET evaluation vs the
-// struct-of-arrays banked path (spice/device_bank.hpp) vs the banked path
-// in NumericsMode::fast (SIMD transcendental kernels), at two levels:
+// Device-bank benchmark: the struct-of-arrays banked MOSFET path
+// (spice/device_bank.hpp) in reference and in NumericsMode::fast (SIMD
+// transcendental kernels), at two levels:
 //
 //   micro    -- raw Newton-load evaluation of a 6-lane VS bank (the 6T SRAM
-//               device population): per-device virtual evaluateLoad vs one
-//               evaluateLoadBatch with per-lane cached derived parameters,
-//               in both numerics modes;
+//               device population): per-device virtual evaluateLoad -- the
+//               model-level oracle -- vs one evaluateLoadBatch with per-lane
+//               cached derived parameters, in both numerics modes;
 //   campaign -- the paper's two statistical inner loops (SRAM SNM DC
-//               sweeps, INV FO3 transient delay) through scalar-session,
-//               reference-banked-session, and fast-banked-session Monte
-//               Carlo campaigns, identical seeds.
+//               sweeps, INV FO3 transient delay) through reference-banked
+//               and fast-banked session Monte Carlo campaigns, identical
+//               seeds.
 //
-// Reference rows verify bit-identity between the compared paths in-run;
+// The reference micro row verifies bit-identity with evaluateLoad in-run;
 // fast rows verify the tolerance contract instead (max relative metric
 // deviation from the reference run, reported as "max_rel_delta" and
 // asserted under "within_tolerance").  "allocs" counts heap allocations
@@ -164,7 +164,7 @@ void benchMicro(int sweeps) {
   if (checksum == 12345.0) std::printf("# impossible\n");  // defeat DCE
 }
 
-// --- campaigns: scalar vs banked sessions -----------------------------------
+// --- campaigns: reference vs fast banked sessions ---------------------------
 
 models::PelgromAlphas benchAlphas() {
   models::PelgromAlphas a;
@@ -218,14 +218,6 @@ CampaignTiming timeCampaign(int samples,
   return t;
 }
 
-bool bitIdentical(const mc::McResult& a, const mc::McResult& b) {
-  if (a.failures != b.failures || a.metrics.size() != b.metrics.size())
-    return false;
-  for (std::size_t m = 0; m < a.metrics.size(); ++m)
-    if (a.metrics[m] != b.metrics[m]) return false;
-  return true;
-}
-
 constexpr int kSnmPoints = 45;
 constexpr std::uint64_t kSeed = 901;
 
@@ -276,50 +268,37 @@ mc::McResult invCampaign(int n, spice::SessionOptions sessionOptions) {
 void benchWorkload(
     const std::string& name, int samples,
     const std::function<mc::McResult(int, spice::SessionOptions)>& campaign) {
-  spice::SessionOptions scalarOpt;
-  scalarOpt.useDeviceBank = false;
   spice::SessionOptions bankedOpt;
   spice::SessionOptions fastOpt;
   fastOpt.numerics = models::NumericsMode::fast;
   spice::SessionOptions fastReuseOpt = fastOpt;
   fastReuseOpt.solver = linalg::SolverMode::reusePivot;
 
-  const CampaignTiming scalar =
-      timeCampaign(samples, [&](int n) { return campaign(n, scalarOpt); });
   const CampaignTiming banked =
       timeCampaign(samples, [&](int n) { return campaign(n, bankedOpt); });
   const CampaignTiming fast =
       timeCampaign(samples, [&](int n) { return campaign(n, fastOpt); });
   const CampaignTiming fastReuse =
       timeCampaign(samples, [&](int n) { return campaign(n, fastReuseOpt); });
-  const bool identical = bitIdentical(scalar.result, banked.result);
   const double fastDelta = bench::maxRelMetricDelta(fast.result, banked.result);
   // The composed modes' tolerance is accounted against the fast/fresh run:
   // that isolates what SolverMode::reusePivot adds on top of the already-
   // tolerance-checked fast numerics.
   const double fastReuseDelta =
       bench::maxRelMetricDelta(fastReuse.result, fast.result);
-  std::printf("{\"name\": \"%s_scalar_session\", \"samples\": %d, "
-              "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-              "\"allocs_per_sample\": %.1f}\n",
-              name.c_str(), samples, scalar.usPerSample,
-              1e6 / scalar.usPerSample, scalar.allocsPerSample);
   std::printf("{\"name\": \"%s_banked_session\", \"samples\": %d, "
               "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-              "\"allocs_per_sample\": %.1f, \"speedup_vs_scalar\": %.2f, "
-              "\"bit_identical\": %s}\n",
+              "\"allocs_per_sample\": %.1f}\n",
               name.c_str(), samples, banked.usPerSample,
-              1e6 / banked.usPerSample, banked.allocsPerSample,
-              scalar.usPerSample / banked.usPerSample,
-              identical ? "true" : "false");
+              1e6 / banked.usPerSample, banked.allocsPerSample);
   std::printf("{\"name\": \"%s_fast_session\", \"samples\": %d, "
               "\"us_per_sample\": %.1f, \"samples_per_sec\": %.1f, "
-              "\"allocs_per_sample\": %.1f, \"speedup_vs_scalar\": %.2f, "
+              "\"allocs_per_sample\": %.1f, "
               "\"speedup_vs_banked\": %.2f, \"max_rel_delta\": %.2e, "
               "\"within_tolerance\": %s}\n",
               name.c_str(), samples, fast.usPerSample, 1e6 / fast.usPerSample,
-              fast.allocsPerSample, scalar.usPerSample / fast.usPerSample,
-              banked.usPerSample / fast.usPerSample, fastDelta,
+              fast.allocsPerSample, banked.usPerSample / fast.usPerSample,
+              fastDelta,
               // Same per-sample bound the campaign tolerance tests assert
               // (tests/sim/test_fast_campaign.cpp); measured ~1e-14.
               fastDelta <= 1e-8 ? "true" : "false");

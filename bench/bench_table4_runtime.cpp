@@ -116,7 +116,7 @@ int main() {
   table.print(std::cout);
 
   std::cout
-      << "\nInterpretation (see EXPERIMENTS.md): the paper's 4.2x/8.7x VS win\n"
+      << "\nInterpretation: the paper's 4.2x/8.7x VS win\n"
          "is against the ~900-parameter BSIM4 plus Verilog-A interpretation\n"
          "overhead.  This reproduction's golden baseline is a deliberately\n"
          "slim ~10-parameter mini-BSIM (~0.11 us/eval), so the compiled VS\n"

@@ -234,10 +234,8 @@ struct LaneEngine {
     }
     vgs[pointCount] = campaign.grid_.vdd;
     vds[pointCount] = campaign.grid_.vdd;
-    if (campaign.options_.useBank) {
-      bank = models::makeUniformLoadBank(*model, campaign.geometry_, lanes,
-                                         campaign.options_.numerics);
-    }
+    bank = models::makeUniformLoadBank(*model, campaign.geometry_, lanes,
+                                       campaign.options_.numerics);
     dataset.id.resize(pointCount);
     residual = [this](const linalg::Vector& x, linalg::Vector& r) {
       response(x, r);
@@ -249,15 +247,9 @@ struct LaneEngine {
   /// evaluate the whole I-V grid plus the Cgg anchor in one batched call.
   void response(const linalg::Vector& x, linalg::Vector& r) {
     spec.write(x, *model);
-    if (bank) {
-      require(bank->rebindUniform(*model, owner->geometry_),
-              "FitCampaign: bank rejected its own card type");
-      bank->evaluateLoadBatch(vgs, vds, kLoadFdStep, evals);
-    } else {
-      for (std::size_t i = 0; i < evals.size(); ++i)
-        evals[i] = model->evaluateLoad(owner->geometry_, vgs[i], vds[i],
-                                       kLoadFdStep);
-    }
+    require(bank->rebindUniform(*model, owner->geometry_),
+            "FitCampaign: bank rejected its own card type");
+    bank->evaluateLoadBatch(vgs, vds, kLoadFdStep, evals);
     const MeasurementGrid& g = owner->grid_;
     for (std::size_t i = 0; i < pointCount; ++i) {
       const double id = evals[i].at.id;
@@ -274,7 +266,7 @@ struct LaneEngine {
   const FamilySpec& spec;
   std::unique_ptr<models::MosfetModel> model;
   std::size_t pointCount;
-  std::unique_ptr<models::MosfetLoadBank> bank;  ///< null when useBank=false
+  std::unique_ptr<models::MosfetLoadBank> bank;
   std::vector<double> vgs, vds;
   std::vector<models::MosfetLoadEvaluation> evals;
   FitDataset dataset;

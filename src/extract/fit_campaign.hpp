@@ -13,8 +13,8 @@
 //     optimizer rewrites (and lane-rebinds) between iterations.  Under
 //     NumericsMode::fast the VS bank batches the whole I-V grid through
 //     the SIMD chain; under reference (the default) banked evaluation is
-//     bit-identical to the scalar path, which is what the banked-vs-scalar
-//     agreement tests pin.
+//     bit-identical to MosfetModel::evaluateLoad (the rebindUniform case
+//     of tests/models/test_model_contract.cpp).
 //   * linalg::levenbergMarquardt runs in its allocation-free workspace form
 //     with per-family box bounds, so extracted cards stay physical.
 //   * lanes are scheduled over the persistent util::ThreadPool with
@@ -109,10 +109,6 @@ struct FitDataset {
 struct FitCampaignOptions {
   int maxIterations = 60;
   unsigned threads = 0;  ///< parallelFor workers; 0 = hardware concurrency
-  /// Route lane evaluation through the device bank (the point of the
-  /// engine).  false = per-point scalar evaluateLoad, the agreement
-  /// baseline; bit-identical to banked reference by the bank contract.
-  bool useBank = true;
   models::NumericsMode numerics = models::NumericsMode::reference;
   /// Solver options; empty bounds are filled with the family's physical
   /// box, and maxIterations above overrides the solver default.

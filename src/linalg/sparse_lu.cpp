@@ -46,7 +46,7 @@ void SparseLu::refactorReusingPivots(const SparseMatrix& m,
     fullFactor(m, pivotTolerance);
     return;
   }
-  if (!fastRefactor(m, pivotTolerance, growthLimit_)) {
+  if (!fastRefactor(m, pivotTolerance, kGrowthLimit)) {
     // Monitor breakdown: the reused order hit a near-zero pivot or grew the
     // factor past the growth limit for these values.  Abandon it and derive
     // a fresh order from the values themselves; restorePivotSnapshot()

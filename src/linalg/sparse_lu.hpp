@@ -83,7 +83,7 @@ class SparseLu {
   /// order and factor structure, skipping the pivot search and the symbolic
   /// pass.  A cheap monitor guards the reuse: if any reused pivot falls
   /// below `pivotTolerance` or the factor's element growth max|LU| / max|A|
-  /// exceeds the growth limit (setPivotGrowthLimit), the stale order is
+  /// exceeds the growth limit (kGrowthLimit), the stale order is
   /// abandoned and a full re-pivot runs instead (counted by
   /// pivotFallbackCount).  With no analyzed pattern (or a different one)
   /// it degrades to the full path.
@@ -125,15 +125,6 @@ class SparseLu {
   /// the explicit entry points above are mode-independent.
   void setSolverMode(SolverMode m) noexcept { mode_ = m; }
   [[nodiscard]] SolverMode solverMode() const noexcept { return mode_; }
-
-  /// Element-growth ceiling of the reuse monitor: a reused factorization
-  /// whose max|LU| exceeds limit * max|A| triggers a full re-pivot.
-  /// Partial pivoting keeps growth near 1 on these MNA systems, so the
-  /// default flags only genuinely degenerate reuse.
-  void setPivotGrowthLimit(double limit) noexcept { growthLimit_ = limit; }
-  [[nodiscard]] double pivotGrowthLimit() const noexcept {
-    return growthLimit_;
-  }
 
   /// Solves A x = b in place; allocation-free, O(nnz(L+U)).
   void solveInPlace(Vector& x) const;
@@ -262,7 +253,11 @@ class SparseLu {
   bool divergedFromSnapshot_ = false;
 
   SolverMode mode_ = SolverMode::fresh;
-  double growthLimit_ = 1e8;
+  /// Element-growth ceiling of the reuse monitor: a reused factorization
+  /// whose max|LU| exceeds kGrowthLimit * max|A| triggers a full re-pivot.
+  /// Partial pivoting keeps growth near 1 on these MNA systems, so the
+  /// ceiling flags only genuinely degenerate reuse.
+  static constexpr double kGrowthLimit = 1e8;
 
   std::uint64_t fullFactors_ = 0;
   std::uint64_t fastRefactors_ = 0;

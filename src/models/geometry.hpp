@@ -14,7 +14,6 @@ struct DeviceGeometry {
 
   [[nodiscard]] double widthNm() const noexcept { return units::mToNm(width); }
   [[nodiscard]] double lengthNm() const noexcept { return units::mToNm(length); }
-  [[nodiscard]] double areaM2() const noexcept { return width * length; }
 };
 
 /// Convenience constructor from nanometre sizes (the paper's W/L notation).

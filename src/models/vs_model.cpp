@@ -894,13 +894,6 @@ std::unique_ptr<MosfetLoadBank> VsModel::makeLoadBank(
   return std::make_unique<VsLoadBank>(std::move(lanes), mode);
 }
 
-double VsModel::inversionCharge(const DeviceGeometry& geom, double vgs,
-                                double vds) const {
-  const Derived d = derive(params_, geom);
-  if (vds < 0.0) return intrinsic(params_, d, vgs - vds, -vds, true).qSrcAreal;
-  return intrinsic(params_, d, vgs, vds, true).qSrcAreal;
-}
-
 double VsModel::drainCurrent(const DeviceGeometry& geom, double vgs,
                              double vds) const {
   const Derived d = derive(params_, geom);

@@ -81,11 +81,6 @@ class VsModel final : public MosfetModel {
   [[nodiscard]] const VsParams& params() const noexcept { return params_; }
   [[nodiscard]] VsParams& mutableParams() noexcept { return params_; }
 
-  /// Virtual-source inversion charge density [C/m^2] at the given internal
-  /// bias (exposed for tests and for the extraction sensitivities).
-  [[nodiscard]] double inversionCharge(const DeviceGeometry& geom, double vgs,
-                                       double vds) const;
-
  private:
   VsParams params_;
 };

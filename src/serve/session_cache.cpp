@@ -51,7 +51,6 @@ std::string cacheKeyOf(const CampaignRequest& req) {
   hash.mix(static_cast<std::uint64_t>(req.mode.numerics));
   hash.mix(static_cast<std::uint64_t>(req.mode.solver));
   hash.mix(static_cast<std::uint64_t>(req.mode.tier));
-  hash.mix(static_cast<std::uint64_t>(req.mode.useDeviceBank));
   hash.mix(static_cast<std::uint64_t>(req.scheme));
   mixAlphas(hash, req.nmosAlphas);
   mixAlphas(hash, req.pmosAlphas);

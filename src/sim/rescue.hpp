@@ -13,7 +13,7 @@
 //   2. fresh pivoting   -- only for reusePivot sessions: re-derive the
 //      pivot order from this sample's own values;
 //   3. reference numerics -- only for fast sessions: swap the vectorized
-//      kernel chain out for the reference scalar path;
+//      kernel chain out for the reference (libm) chain;
 //   4. all of the above combined.
 //
 // Determinism contract: the ladder is indexed by SAMPLE, never by thread or

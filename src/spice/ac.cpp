@@ -48,8 +48,7 @@ SmallSignalSystem::SmallSignalSystem(const Circuit& circuit,
                                      const OperatingPoint& op)
     : numNodes_(circuit.nodeCount() - 1),
       numUnknowns_(circuit.unknownCount()) {
-  // Two assemblies on a one-shot assembler: not worth bank construction.
-  detail::Assembler assembler(circuit, /*useDeviceBank=*/false);
+  detail::Assembler assembler(circuit);
   const linalg::Vector x = flatten(circuit, op);
   pattern_ = assembler.pattern();
   g_ = linalg::SparseMatrix(pattern_);

@@ -52,6 +52,9 @@ double LoadContext::chargeCurrent(int localSlot, double q) const noexcept {
   return assembler_->companionCurrent(chargeBase_ + localSlot, q);
 }
 double LoadContext::chargeGain() const noexcept { return assembler_->c0(); }
+bool LoadContext::capturing() const noexcept {
+  return assembler_->capturing();
+}
 
 // --- Newton core (shared with SimSession via solver_core.hpp) ------------------
 
@@ -430,10 +433,7 @@ OperatingPoint dcOperatingPoint(const Circuit& circuit,
 OperatingPoint dcOperatingPoint(const Circuit& circuit,
                                 const OperatingPoint& guess,
                                 const DcOptions& options) {
-  // One-shot assembler, a handful of assemblies: device-bank construction
-  // would cost more than its dispatch savings here, so the free DC entry
-  // points run the scalar element loop (bit-identical either way).
-  detail::Assembler assembler(circuit, /*useDeviceBank=*/false);
+  detail::Assembler assembler(circuit);
   linalg::Vector x = detail::unpackGuess(circuit, guess);
   if (!detail::dcSolveLadder(assembler, x, options)) {
     detail::throwSolveFailure(assembler.workspace().report,

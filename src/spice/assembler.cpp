@@ -9,8 +9,8 @@
 
 namespace vsstat::spice::detail {
 
-Assembler::Assembler(const Circuit& circuit, bool useDeviceBank,
-                     models::NumericsMode numerics, linalg::SolverMode solver)
+Assembler::Assembler(const Circuit& circuit, models::NumericsMode numerics,
+                     linalg::SolverMode solver)
     : circuit_(circuit),
       numNodes_(circuit.nodeCount() - 1),
       numUnknowns_(circuit.unknownCount()),
@@ -18,16 +18,11 @@ Assembler::Assembler(const Circuit& circuit, bool useDeviceBank,
       chargeNow_(static_cast<std::size_t>(circuit.chargeSlotTotal()), 0.0),
       chargePrev_(chargeNow_.size(), 0.0),
       histTerm_(chargeNow_.size(), 0.0) {
-  require(useDeviceBank || numerics == models::NumericsMode::reference,
-          "Assembler: fast numerics requires the device bank (the scalar "
-          "element loop is reference-only)");
   capturePattern();
   workspace_.dx.assign(numUnknowns_, 0.0);
   workspace_.lu.setSolverMode(solver);
-  if (useDeviceBank) {
-    auto bank = std::make_unique<DeviceBankSet>(circuit_, pattern_, numerics);
-    if (bank->laneCount() > 0) bankSet_ = std::move(bank);
-  }
+  auto bank = std::make_unique<DeviceBankSet>(circuit_, pattern_, numerics);
+  if (bank->laneCount() > 0) bankSet_ = std::move(bank);
 }
 
 void Assembler::syncDeviceBank() {
@@ -35,9 +30,6 @@ void Assembler::syncDeviceBank() {
 }
 
 void Assembler::setNumericsMode(models::NumericsMode numerics) {
-  require(bankSet_ != nullptr || numerics == models::NumericsMode::reference,
-          "Assembler: fast numerics requires the device bank (the scalar "
-          "element loop is reference-only)");
   if (bankSet_ != nullptr) bankSet_->setNumerics(numerics);
 }
 
@@ -70,6 +62,9 @@ void Assembler::capturePattern() {
   // forced so charge-derivative stamps are captured too; node diagonals are
   // added explicitly for the gmin homotopy shunts.
   capturing_ = true;
+  // Nine positions bound any element's stamp (a MOSFET's 3x3 block), so
+  // one reservation covers the whole pass.
+  coords_.reserve(9 * circuit_.elements().size() + numNodes_);
   const linalg::Vector zero(numUnknowns_, 0.0);
   x_ = &zero;
   setBackwardEuler(1.0);
@@ -103,11 +98,11 @@ void Assembler::assemble(const linalg::Vector& x) {
   std::fill(residual_.begin(), residual_.end(), 0.0);
   std::fill(chargeNow_.begin(), chargeNow_.end(), 0.0);
 
-  // Banked path: refresh any lanes invalidated by a rebind, then gather
-  // every device's canonical bias and batch-evaluate all model groups up
-  // front.  The element loop below scatters the precomputed lane results
-  // in circuit element order, so residual/Jacobian accumulation order --
-  // and therefore every floating-point sum -- matches the scalar loop.
+  // Refresh any lanes invalidated by a rebind, then gather every device's
+  // canonical bias and batch-evaluate all model groups up front.  The
+  // element loop below scatters the precomputed lane results in circuit
+  // element order, so the residual/Jacobian accumulation order -- and
+  // therefore every floating-point sum -- is fixed by the netlist alone.
   if (bankSet_ != nullptr) {
     if (!bankSet_->sync()) bankSet_->rebuild();
     bankSet_->evaluate(x);
@@ -166,16 +161,15 @@ void Assembler::assemble(const linalg::Vector& x) {
 
 void Assembler::scatterBankedLane(const DeviceBankGroup& grp,
                                   std::size_t lane) noexcept {
-  // Mirror of MosfetElement::scatterLoad with the LoadContext indirection
-  // and per-stamp slot lookups replaced by the lane's captured rows/slots.
-  // Stamp order and per-stamp arithmetic are identical, which keeps banked
-  // assemblies bit-identical to scalar ones (pinned by tests/spice/
-  // test_device_bank.cpp and the campaign bit-identity suite).
+  // The MOSFET stamp, written straight into the lane's captured rows and
+  // CSR slots (ground terminals carry -1 and are skipped).  Canonical id
+  // flows into the canonical drain; the polarity sign maps it back to the
+  // terminal orientation, and cancels in every derivative stamp
+  // (d(current leaving drain)/dVg = sign*did/dvgs*sign = did/dvgs).
+  // tests/spice/test_device_bank.cpp pins every stamp against a central
+  // difference of the assembled residual and against KCL.
   const models::MosfetLoadEvaluation& ev = grp.out[lane];
-  const double sign = grp.sign[lane];
-  const std::int32_t rowD = grp.rowD[lane];
-  const std::int32_t rowG = grp.rowG[lane];
-  const std::int32_t rowS = grp.rowS[lane];
+  const BankLaneState& l = grp.lanes[lane];
 
   const auto addResidual = [&](std::int32_t row, double v) {
     if (row >= 0) residual_[static_cast<std::size_t>(row)] += v;
@@ -187,20 +181,20 @@ void Assembler::scatterBankedLane(const DeviceBankGroup& grp,
   const double didvgs = ev.didVgs;
   const double didvds = ev.didVds;
 
-  const double idTerm = sign * ev.at.id;
-  addResidual(rowD, idTerm);
-  addResidual(rowS, -idTerm);
-  addJ(grp.sDG[lane], didvgs);
-  addJ(grp.sDD[lane], didvds);
-  addJ(grp.sDS[lane], -(didvgs + didvds));
-  addJ(grp.sSG[lane], -didvgs);
-  addJ(grp.sSD[lane], -didvds);
-  addJ(grp.sSS[lane], didvgs + didvds);
+  const double idTerm = l.sign * ev.at.id;
+  addResidual(l.rowD, idTerm);
+  addResidual(l.rowS, -idTerm);
+  addJ(l.sDG, didvgs);
+  addJ(l.sDD, didvds);
+  addJ(l.sDS, -(didvgs + didvds));
+  addJ(l.sSG, -didvgs);
+  addJ(l.sSD, -didvds);
+  addJ(l.sSS, didvgs + didvds);
 
-  const double qg = sign * ev.at.qg;
-  const double qd = sign * ev.at.qd;
-  const double qs = sign * ev.at.qs;
-  const std::int32_t cb = grp.chargeBase[lane];
+  const double qg = l.sign * ev.at.qg;
+  const double qd = l.sign * ev.at.qd;
+  const double qs = l.sign * ev.at.qs;
+  const std::int32_t cb = l.chargeBase;
   chargeNow_[static_cast<std::size_t>(cb)] = qg;
   chargeNow_[static_cast<std::size_t>(cb) + 1] = qd;
   chargeNow_[static_cast<std::size_t>(cb) + 2] = qs;
@@ -209,20 +203,20 @@ void Assembler::scatterBankedLane(const DeviceBankGroup& grp,
   const double ig = companionCurrent(cb, qg);
   const double idq = companionCurrent(cb + 1, qd);
   const double isq = companionCurrent(cb + 2, qs);
-  addResidual(rowG, ig);
-  addResidual(rowD, idq);
-  addResidual(rowS, isq);
+  addResidual(l.rowG, ig);
+  addResidual(l.rowD, idq);
+  addResidual(l.rowS, isq);
 
   if (c0 != 0.0) {
-    addJ(grp.sGG[lane], c0 * ev.dqgVgs);
-    addJ(grp.sGD[lane], c0 * ev.dqgVds);
-    addJ(grp.sGS[lane], -c0 * (ev.dqgVgs + ev.dqgVds));
-    addJ(grp.sDG[lane], c0 * ev.dqdVgs);
-    addJ(grp.sDD[lane], c0 * ev.dqdVds);
-    addJ(grp.sDS[lane], -c0 * (ev.dqdVgs + ev.dqdVds));
-    addJ(grp.sSG[lane], c0 * ev.dqsVgs);
-    addJ(grp.sSD[lane], c0 * ev.dqsVds);
-    addJ(grp.sSS[lane], -c0 * (ev.dqsVgs + ev.dqsVds));
+    addJ(l.sGG, c0 * ev.dqgVgs);
+    addJ(l.sGD, c0 * ev.dqgVds);
+    addJ(l.sGS, -c0 * (ev.dqgVgs + ev.dqgVds));
+    addJ(l.sDG, c0 * ev.dqdVgs);
+    addJ(l.sDD, c0 * ev.dqdVds);
+    addJ(l.sDS, -c0 * (ev.dqdVgs + ev.dqdVds));
+    addJ(l.sSG, c0 * ev.dqsVgs);
+    addJ(l.sSD, c0 * ev.dqsVds);
+    addJ(l.sSS, -c0 * (ev.dqsVgs + ev.dqsVds));
   }
 }
 

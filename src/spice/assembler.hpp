@@ -13,10 +13,10 @@
 // a pattern-reusing factorization plus preallocated step buffers, so one
 // Newton iteration performs zero heap allocations in steady state.
 //
-// MOSFET evaluation is banked by default (see spice/device_bank.hpp): the
-// assembler batch-evaluates every device group before the element loop and
-// scatters each lane's result into precaptured CSR slots in element order,
-// bit-identically to the scalar per-element path (useDeviceBank = false).
+// MOSFETs are evaluated only through the device bank (see
+// spice/device_bank.hpp): the assembler batch-evaluates every device group
+// before the element loop and scatters each lane's result into precaptured
+// CSR slots in circuit element order (scatterBankedLane).
 #ifndef VSSTAT_SPICE_ASSEMBLER_HPP
 #define VSSTAT_SPICE_ASSEMBLER_HPP
 
@@ -63,17 +63,15 @@ struct NewtonWorkspace {
 /// Owns the Newton assembly state and backs LoadContext.
 class Assembler {
  public:
-  /// `useDeviceBank` selects batched MOSFET evaluation (bit-identical to
-  /// the scalar element loop; off is the comparison/fallback path).
   /// `numerics` is handed to the bank's model groups: reference (default)
-  /// keeps bit-identity, fast swaps in the vectorized kernel pipeline
-  /// (requires `useDeviceBank` -- the scalar loop has no fast chain).
-  /// `solver` is installed on the workspace factorization: fresh (default)
-  /// keeps the per-solve re-pivot semantics, reusePivot makes every
-  /// refactor() reuse the analyzed pivot order under the growth monitor
-  /// (SimSession additionally primes and restores the canonical snapshot).
+  /// keeps bit-identity with MosfetModel::evaluateLoad, fast swaps in the
+  /// vectorized kernel pipeline.  `solver` is installed on the workspace
+  /// factorization: fresh (default) keeps the per-solve re-pivot
+  /// semantics, reusePivot makes every refactor() reuse the analyzed pivot
+  /// order under the growth monitor (SimSession additionally primes and
+  /// restores the canonical snapshot).
   explicit Assembler(
-      const Circuit& circuit, bool useDeviceBank = true,
+      const Circuit& circuit,
       models::NumericsMode numerics = models::NumericsMode::reference,
       linalg::SolverMode solver = linalg::SolverMode::fresh);
 
@@ -142,21 +140,17 @@ class Assembler {
   /// Eagerly re-derives device-bank lanes after a rebind pass (campaign
   /// sessions call this per sample so the refresh runs once, outside the
   /// Newton loop).  assemble() also syncs lazily, so calling this is an
-  /// optimization, never a correctness requirement.  No-op when banking is
-  /// off.
+  /// optimization, never a correctness requirement.  No-op on a circuit
+  /// without MOSFETs.
   void syncDeviceBank();
-  /// Number of banked MOSFET lanes (0 when banking is off or bank-less).
+  /// Number of banked MOSFET lanes (0 on a circuit without MOSFETs).
   [[nodiscard]] std::size_t deviceBankLaneCount() const noexcept {
     return bankSet_ != nullptr ? bankSet_->laneCount() : 0;
   }
-  /// Number of homogeneous model groups in the bank.
-  [[nodiscard]] std::size_t deviceBankGroupCount() const noexcept {
-    return bankSet_ != nullptr ? bankSet_->groupCount() : 0;
-  }
 
   /// Switches the device-bank evaluation contract in place (rescue ladder's
-  /// fast -> reference fallback).  Throws when asked for fast numerics on a
-  /// bank-less assembler; a no-op when the mode is unchanged.
+  /// fast -> reference fallback).  A no-op when the mode is unchanged or
+  /// the circuit has no MOSFETs.
   void setNumericsMode(models::NumericsMode numerics);
   [[nodiscard]] models::NumericsMode numericsMode() const noexcept {
     return bankSet_ != nullptr ? bankSet_->numerics()
@@ -232,6 +226,7 @@ class Assembler {
   [[nodiscard]] double c0() const noexcept { return c0_; }
   [[nodiscard]] double timeNow() const noexcept { return time_; }
   [[nodiscard]] double scaleNow() const noexcept { return sourceScale_; }
+  [[nodiscard]] bool capturing() const noexcept { return capturing_; }
 
  private:
   void capturePattern();
@@ -264,7 +259,7 @@ class Assembler {
   std::vector<double> chargePrev_;
   std::vector<double> histTerm_;
   NewtonWorkspace workspace_;
-  std::unique_ptr<DeviceBankSet> bankSet_;  ///< null when banking is off
+  std::unique_ptr<DeviceBankSet> bankSet_;  ///< null without MOSFETs
   std::vector<std::pair<std::size_t, std::size_t>> coords_;  ///< capture only
   const linalg::Vector* x_ = nullptr;
   double c0_ = 0.0;

@@ -30,10 +30,9 @@ void DeviceBankSet::rebuild() {
   const auto& elements = circuit_->elements();
   elementLanes_.assign(elements.size(), BankLaneRef{});
 
-  // Reserve every per-lane SoA vector at the full MOSFET count up front:
-  // a bank rebuild then costs one allocation per vector instead of a
-  // doubling-growth series per vector (the usual case is one homogeneous
-  // group holding every device, where the bound is exact).
+  // Reserve each group's lane records at the full MOSFET count up front:
+  // the usual case is one homogeneous group holding every device, where
+  // the bound is exact and a rebuild costs one allocation per vector.
   std::size_t mosfetCount = 0;
   for (const auto& e : elements)
     if (dynamic_cast<const MosfetElement*>(e.get()) != nullptr) ++mosfetCount;
@@ -53,34 +52,23 @@ void DeviceBankSet::rebuild() {
     if (g < 0) {
       g = static_cast<std::int32_t>(groups_.size());
       groups_.emplace_back(type);
-      DeviceBankGroup& fresh = groups_.back();
-      fresh.element.reserve(mosfetCount);
-      fresh.version.reserve(mosfetCount);
-      fresh.sign.reserve(mosfetCount);
-      for (std::vector<std::int32_t>* v :
-           {&fresh.rowD, &fresh.rowG, &fresh.rowS, &fresh.chargeBase,
-            &fresh.sDG, &fresh.sDD, &fresh.sDS, &fresh.sSG, &fresh.sSD,
-            &fresh.sSS, &fresh.sGG, &fresh.sGD, &fresh.sGS})
-        v->reserve(mosfetCount);
+      groups_.back().lanes.reserve(mosfetCount);
     }
     DeviceBankGroup& grp = groups_[static_cast<std::size_t>(g)];
 
-    const std::int32_t lane = static_cast<std::int32_t>(grp.element.size());
-    grp.element.push_back(m);
-    grp.version.push_back(m->cardVersion());
-    grp.sign.push_back(
-        m->model().deviceType() == models::DeviceType::Nmos ? 1.0 : -1.0);
-    const std::int32_t rd = rowOf(m->drain());
-    const std::int32_t rg = rowOf(m->gate());
-    const std::int32_t rs = rowOf(m->source());
-    grp.rowD.push_back(rd);
-    grp.rowG.push_back(rg);
-    grp.rowS.push_back(rs);
-    grp.chargeBase.push_back(m->chargeBase());
+    BankLaneState lane;
+    lane.element = m;
+    lane.version = m->cardVersion();
+    lane.sign =
+        m->model().deviceType() == models::DeviceType::Nmos ? 1.0 : -1.0;
+    lane.rowD = rowOf(m->drain());
+    lane.rowG = rowOf(m->gate());
+    lane.rowS = rowOf(m->source());
+    lane.chargeBase = m->chargeBase();
 
     // The element's 3x3 terminal Jacobian block was captured by the
-    // assembler's symbolic pass (stamp structure is bias-independent by
-    // contract), so every non-ground pair must resolve to a slot.
+    // assembler's symbolic pass (MosfetElement::load declares it), so every
+    // non-ground pair must resolve to a slot.
     const auto slotOf = [&](std::int32_t row, std::int32_t col) {
       if (row < 0 || col < 0) return std::int32_t{-1};
       const std::int32_t s = pattern_->slot(static_cast<std::size_t>(row),
@@ -90,66 +78,64 @@ void DeviceBankSet::rebuild() {
               "captured sparsity pattern");
       return s;
     };
-    grp.sDG.push_back(slotOf(rd, rg));
-    grp.sDD.push_back(slotOf(rd, rd));
-    grp.sDS.push_back(slotOf(rd, rs));
-    grp.sSG.push_back(slotOf(rs, rg));
-    grp.sSD.push_back(slotOf(rs, rd));
-    grp.sSS.push_back(slotOf(rs, rs));
-    grp.sGG.push_back(slotOf(rg, rg));
-    grp.sGD.push_back(slotOf(rg, rd));
-    grp.sGS.push_back(slotOf(rg, rs));
+    lane.sDG = slotOf(lane.rowD, lane.rowG);
+    lane.sDD = slotOf(lane.rowD, lane.rowD);
+    lane.sDS = slotOf(lane.rowD, lane.rowS);
+    lane.sSG = slotOf(lane.rowS, lane.rowG);
+    lane.sSD = slotOf(lane.rowS, lane.rowD);
+    lane.sSS = slotOf(lane.rowS, lane.rowS);
+    lane.sGG = slotOf(lane.rowG, lane.rowG);
+    lane.sGD = slotOf(lane.rowG, lane.rowD);
+    lane.sGS = slotOf(lane.rowG, lane.rowS);
 
-    elementLanes_[idx] = BankLaneRef{g, lane};
+    elementLanes_[idx] =
+        BankLaneRef{g, static_cast<std::int32_t>(grp.lanes.size())};
+    grp.lanes.push_back(lane);
     ++laneCount_;
   }
 
   for (DeviceBankGroup& grp : groups_) {
-    std::vector<models::BankLane> lanes;
-    lanes.reserve(grp.element.size());
-    for (const MosfetElement* e : grp.element)
-      lanes.push_back(models::BankLane{&e->model(), &e->geometry()});
-    grp.bank =
-        grp.element.front()->model().makeLoadBank(std::move(lanes), numerics_);
-    grp.vgs.resize(grp.element.size());
-    grp.vds.resize(grp.element.size());
-    grp.out.resize(grp.element.size());
+    std::vector<models::BankLane> bankLanes;
+    bankLanes.reserve(grp.lanes.size());
+    for (const BankLaneState& lane : grp.lanes)
+      bankLanes.push_back(
+          models::BankLane{&lane.element->model(), &lane.element->geometry()});
+    grp.bank = grp.lanes.front().element->model().makeLoadBank(
+        std::move(bankLanes), numerics_);
+    grp.vgs.resize(grp.lanes.size());
+    grp.vds.resize(grp.lanes.size());
+    grp.out.resize(grp.lanes.size());
   }
 }
 
 bool DeviceBankSet::sync() {
   for (DeviceBankGroup& grp : groups_) {
-    for (std::size_t i = 0; i < grp.element.size(); ++i) {
-      const MosfetElement* e = grp.element[i];
-      if (e->cardVersion() == grp.version[i]) continue;
+    for (std::size_t i = 0; i < grp.lanes.size(); ++i) {
+      BankLaneState& lane = grp.lanes[i];
+      const MosfetElement* e = lane.element;
+      if (e->cardVersion() == lane.version) continue;
       if (!grp.bank->rebindLane(i, e->model(), e->geometry()))
         return false;  // dynamic type changed: regroup from scratch
       // Polarity may only change through setInstance (rebind forbids it);
       // either way the sign is re-derived with the lane.
-      grp.sign[i] =
+      lane.sign =
           e->model().deviceType() == models::DeviceType::Nmos ? 1.0 : -1.0;
-      grp.version[i] = e->cardVersion();
+      lane.version = e->cardVersion();
     }
   }
   return true;
 }
 
 void DeviceBankSet::evaluate(const linalg::Vector& x) {
+  const auto voltage = [&x](std::int32_t row) {
+    return row < 0 ? 0.0 : x[static_cast<std::size_t>(row)];
+  };
   for (DeviceBankGroup& grp : groups_) {
-    const std::size_t n = grp.element.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double vd = grp.rowD[i] < 0
-                            ? 0.0
-                            : x[static_cast<std::size_t>(grp.rowD[i])];
-      const double vg = grp.rowG[i] < 0
-                            ? 0.0
-                            : x[static_cast<std::size_t>(grp.rowG[i])];
-      const double vs = grp.rowS[i] < 0
-                            ? 0.0
-                            : x[static_cast<std::size_t>(grp.rowS[i])];
-      const double sign = grp.sign[i];
-      grp.vgs[i] = sign * (vg - vs);
-      grp.vds[i] = sign * (vd - vs);
+    for (std::size_t i = 0; i < grp.lanes.size(); ++i) {
+      const BankLaneState& lane = grp.lanes[i];
+      const double vs = voltage(lane.rowS);
+      grp.vgs[i] = lane.sign * (voltage(lane.rowG) - vs);
+      grp.vds[i] = lane.sign * (voltage(lane.rowD) - vs);
     }
     grp.bank->evaluateLoadBatch(std::span<const double>(grp.vgs),
                                 std::span<const double>(grp.vds),

@@ -2,10 +2,10 @@
 //
 // At Assembler construction every MosfetElement is gathered into a
 // homogeneous group per concrete model type; each group carries a
-// models::MosfetLoadBank (the model-specific batched evaluator) plus
-// struct-of-arrays lane state captured once: polarity sign, residual rows,
-// charge-slot base, and the CSR stamp slots of the element's full Jacobian
-// footprint.  A Newton assembly then
+// models::MosfetLoadBank (the model-specific batched evaluator) plus lane
+// state captured once: polarity sign, residual rows, charge-slot base, and
+// the CSR stamp slots of the element's full Jacobian footprint.  A Newton
+// assembly then
 //
 //   gather:   one pass pulls every lane's canonical (vgs, vds) out of the
 //             iterate,
@@ -15,11 +15,11 @@
 //             entries straight into the captured CSR slots, in circuit
 //             element order (Assembler::scatterBankedLane).
 //
-// Bit-identity contract: the gather reproduces LoadContext::v's voltage
-// lookup, the bank reproduces evaluateLoad (models::MosfetLoadBank
-// contract), and the scatter replays MosfetElement::scatterLoad's stamp
-// sequence value-for-value in the same element order -- so a banked
-// assembly accumulates exactly the doubles the scalar element loop would.
+// This is the only path by which a MOSFET is evaluated and stamped.  In
+// reference numerics the bank reproduces MosfetModel::evaluateLoad bit for
+// bit (models::MosfetLoadBank contract), and the scatter runs in circuit
+// element order, so an assembly's floating-point sums depend only on the
+// netlist and the cards.
 //
 // Rebinds: lanes cache bias-independent state, so the bank tracks each
 // element's cardVersion().  sync() re-derives stale lanes through
@@ -50,22 +50,26 @@ struct BankLaneRef {
   std::int32_t lane = -1;
 };
 
-/// One homogeneous model group, struct-of-arrays over its lanes.
+/// Captured state of one banked element.  Everything the gather and the
+/// scatter touch for a lane sits in one record.
+struct BankLaneState {
+  const MosfetElement* element = nullptr;
+  std::uint32_t version = 0;  ///< last-synced cardVersion()
+  double sign = 1.0;          ///< +1 NMOS / -1 PMOS
+  std::int32_t rowD = -1, rowG = -1, rowS = -1;  ///< residual rows, -1 = ground
+  std::int32_t chargeBase = 0;                   ///< global slot of qg
+  // CSR stamp slots of the 3x3 terminal Jacobian block (row x col over
+  // drain/gate/source), -1 where a terminal is ground.  Named s<Row><Col>.
+  std::int32_t sDG = -1, sDD = -1, sDS = -1;
+  std::int32_t sSG = -1, sSD = -1, sSS = -1;
+  std::int32_t sGG = -1, sGD = -1, sGS = -1;
+};
+
+/// One homogeneous model group.
 struct DeviceBankGroup {
   std::unique_ptr<models::MosfetLoadBank> bank;
   std::type_index cardType;
-
-  // --- per-lane captured state (SoA) ----------------------------------------
-  std::vector<const MosfetElement*> element;
-  std::vector<std::uint32_t> version;   ///< last-synced cardVersion()
-  std::vector<double> sign;             ///< +1 NMOS / -1 PMOS
-  std::vector<std::int32_t> rowD, rowG, rowS;  ///< residual rows, -1 = ground
-  std::vector<std::int32_t> chargeBase;        ///< global slot of qg
-  // CSR stamp slots of the 3x3 terminal Jacobian block (row x col over
-  // drain/gate/source), -1 where a terminal is ground.  Named s<Row><Col>.
-  std::vector<std::int32_t> sDG, sDD, sDS;
-  std::vector<std::int32_t> sSG, sSD, sSS;
-  std::vector<std::int32_t> sGG, sGD, sGS;
+  std::vector<BankLaneState> lanes;
 
   // --- per-assembly lanes (gather inputs / batch outputs) -------------------
   std::vector<double> vgs, vds;
@@ -79,8 +83,8 @@ class DeviceBankSet {
   /// Captures lane state for every MosfetElement of `circuit`.  `pattern`
   /// is the assembler's captured MNA sparsity (must outlive the bank set,
   /// as must the circuit).  `numerics` selects each group bank's evaluation
-  /// contract (models::NumericsMode): reference = bit-identical to the
-  /// scalar element loop, fast = vectorized kernels within tolerance.
+  /// contract (models::NumericsMode): reference = bit-identical to
+  /// MosfetModel::evaluateLoad, fast = vectorized kernels within tolerance.
   DeviceBankSet(const Circuit& circuit, const linalg::SparsePattern& pattern,
                 models::NumericsMode numerics = models::NumericsMode::reference);
 

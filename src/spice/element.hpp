@@ -56,6 +56,10 @@ class LoadContext {
   /// d(chargeCurrent)/dq: 0 in DC, the integrator's c0 during transient.
   [[nodiscard]] double chargeGain() const noexcept;
 
+  /// True during the assembler's one-time symbolic pass, where Jacobian
+  /// stamps record positions and residual/charge values are discarded.
+  [[nodiscard]] bool capturing() const noexcept;
+
  private:
   friend class detail::Assembler;
   LoadContext() = default;

@@ -123,73 +123,12 @@ double MosfetElement::terminalDrainCurrent(double vd, double vg,
 }
 
 void MosfetElement::load(LoadContext& ctx) const {
-  const double sign =
-      model_->deviceType() == models::DeviceType::Nmos ? 1.0 : -1.0;
-  const double vg = ctx.v(gate_);
-  const double vd = ctx.v(drain_);
-  const double vs = ctx.v(source_);
-  const double vgs = sign * (vg - vs);
-  const double vds = sign * (vd - vs);
-
-  // One batched model call supplies the evaluation plus all current/charge
-  // derivatives in the canonical bias plane -- analytic for the VS model,
-  // forward differences for models without analytic chains.  This is the
-  // single hottest call in the engine; device banks hoist it out of the
-  // element loop and hand the result to scatterLoad directly.
-  scatterLoad(ctx, model_->evaluateLoad(geometry_, vgs, vds, kMosfetFdStep));
-}
-
-void MosfetElement::scatterLoad(LoadContext& ctx,
-                                const models::MosfetLoadEvaluation& ev) const {
-  const double sign =
-      model_->deviceType() == models::DeviceType::Nmos ? 1.0 : -1.0;
-  const models::MosfetEvaluation& e0 = ev.at;
-
-  const double didvgs = ev.didVgs;
-  const double didvds = ev.didVds;
-
-  // DC current: canonical id flows into the canonical drain; the sign maps
-  // it back to the terminal orientation.  d(current leaving drain)/dVg is
-  // sign*did/dvgs*sign = did/dvgs, etc.
-  const double idTerm = sign * e0.id;
-  ctx.addCurrent(drain_, idTerm);
-  ctx.addCurrent(source_, -idTerm);
-  ctx.addJacobian(drain_, gate_, didvgs);
-  ctx.addJacobian(drain_, drain_, didvds);
-  ctx.addJacobian(drain_, source_, -(didvgs + didvds));
-  ctx.addJacobian(source_, gate_, -didvgs);
-  ctx.addJacobian(source_, drain_, -didvds);
-  ctx.addJacobian(source_, source_, didvgs + didvds);
-
-  // Charge currents.  Terminal charges map with the polarity sign.
-  const double qg = sign * e0.qg;
-  const double qd = sign * e0.qd;
-  const double qs = sign * e0.qs;
-  ctx.setCharge(0, qg);
-  ctx.setCharge(1, qd);
-  ctx.setCharge(2, qs);
-
-  const double c0 = ctx.chargeGain();
-  const double ig = ctx.chargeCurrent(0, qg);
-  const double idq = ctx.chargeCurrent(1, qd);
-  const double isq = ctx.chargeCurrent(2, qs);
-  ctx.addCurrent(gate_, ig);
-  ctx.addCurrent(drain_, idq);
-  ctx.addCurrent(source_, isq);
-
-  if (c0 != 0.0) {
-    // dq/dvgs, dq/dvds in canonical plane; the polarity signs cancel as for
-    // the current derivatives.
-    const auto stampCharge = [&](NodeId terminal, double dqdvgs,
-                                 double dqdvds) {
-      ctx.addJacobian(terminal, gate_, c0 * dqdvgs);
-      ctx.addJacobian(terminal, drain_, c0 * dqdvds);
-      ctx.addJacobian(terminal, source_, -c0 * (dqdvgs + dqdvds));
-    };
-    stampCharge(gate_, ev.dqgVgs, ev.dqgVds);
-    stampCharge(drain_, ev.dqdVgs, ev.dqdVds);
-    stampCharge(source_, ev.dqsVgs, ev.dqsVds);
-  }
+  require(ctx.capturing(),
+          "MosfetElement::load: MOSFETs are evaluated and stamped by the "
+          "device bank, not the element loop");
+  for (const NodeId row : {drain_, gate_, source_})
+    for (const NodeId col : {drain_, gate_, source_})
+      ctx.addJacobian(row, col, 0.0);
 }
 
 }  // namespace vsstat::spice

@@ -70,32 +70,27 @@ class VoltageSourceElement final : public Element {
   SourceWaveform waveform_;
 };
 
-/// Finite-difference step for compact models without analytic Newton-load
-/// chains: above the models' smoothness scale, below circuit resolution.
-/// Shared by the scalar element load and the batched device bank so the
-/// two paths hand models identical inputs.
+/// Finite-difference step the device bank hands compact models without
+/// analytic Newton-load chains: above the models' smoothness scale, below
+/// circuit resolution.
 inline constexpr double kMosfetFdStep = 1e-3;
 
 /// MOSFET element.  Owns the per-instance compact-model card (each Monte
 /// Carlo sample clones the nominal model and applies its mismatch deltas).
-/// Polarity mapping to the N-canonical model convention happens here:
-/// canonical voltages are sign*(vg - vs) and sign*(vd - vs) with sign = +1
+/// Canonical voltages are sign*(vg - vs) and sign*(vd - vs) with sign = +1
 /// for NMOS and -1 for PMOS, and current/charges map back with the same
-/// sign.  Jacobians use forward differences on the compact model.
+/// sign.  Evaluation and stamping belong to the assembler's device bank
+/// (spice/device_bank.hpp, Assembler::scatterBankedLane).
 class MosfetElement final : public Element {
  public:
   MosfetElement(std::string name, NodeId drain, NodeId gate, NodeId source,
                 std::unique_ptr<models::MosfetModel> model,
                 const models::DeviceGeometry& geometry);
 
+  /// Declares the 3x3 drain/gate/source Jacobian block to the assembler's
+  /// symbolic capture pass.  Throws outside capture mode: numeric loads
+  /// run through the device bank.
   void load(LoadContext& ctx) const override;
-
-  /// Stamp pass of load() with the model evaluation supplied by the caller
-  /// -- the scatter half of the batched device-bank path.  load() is
-  /// exactly evaluateLoad() + scatterLoad(), so a banked assembly that
-  /// feeds this the batch result reproduces the scalar stamps bit-for-bit.
-  void scatterLoad(LoadContext& ctx,
-                   const models::MosfetLoadEvaluation& ev) const;
 
   [[nodiscard]] int chargeSlots() const noexcept override { return 3; }
 

@@ -33,7 +33,7 @@ class SweepSourceGuard {
 SimSession::SimSession(Circuit& circuit, SessionOptions options)
     : circuit_(&circuit),
       assembler_(std::make_unique<detail::Assembler>(
-          circuit, options.useDeviceBank, options.numerics, options.solver)),
+          circuit, options.numerics, options.solver)),
       solverMode_(options.solver),
       tier_(options.tier) {
   if (options.faultInjector) {

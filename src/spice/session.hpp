@@ -84,17 +84,12 @@ enum class ToleranceTier : std::uint8_t {
 }
 
 struct SessionOptions {
-  /// Batched struct-of-arrays MOSFET evaluation (spice/device_bank.hpp).
-  /// Bit-identical to the scalar element loop by contract; turning it off
-  /// selects the scalar fallback (the comparison axis for benches/tests,
-  /// and an escape hatch for exotic element mixes).
-  bool useDeviceBank = true;
   /// Numerics contract of the banked model evaluation
-  /// (models::NumericsMode).  `reference` (default) pins every analysis
-  /// bit-identical to the free functions; `fast` batches the VS chain's
-  /// transcendentals through the vectorized kernels of util/simd_math.hpp
-  /// -- deterministic and tolerance-checked against reference, but NOT
-  /// bit-identical to it.  Fast requires `useDeviceBank` (enforced).
+  /// (models::NumericsMode, spice/device_bank.hpp).  `reference` (default)
+  /// pins every analysis bit-identical to the free functions; `fast`
+  /// batches the VS chain's transcendentals through the vectorized kernels
+  /// of util/simd_math.hpp -- deterministic and tolerance-checked against
+  /// reference, but NOT bit-identical to it.
   models::NumericsMode numerics = models::NumericsMode::reference;
   /// Pivot policy of the workspace factorization (linalg::SolverMode).
   /// `fresh` (default) re-pivots per solve, pinning every analysis
@@ -167,8 +162,7 @@ class SimSession {
   /// optimization, not a correctness requirement.
   void syncDeviceBank();
 
-  /// Banked MOSFET lanes (0 = scalar fallback / no MOSFETs): telemetry for
-  /// tests and benches that assert banking is actually engaged.
+  /// Banked MOSFET lanes, one per MOSFET (0 on a circuit without any).
   [[nodiscard]] std::size_t deviceBankLaneCount() const noexcept;
 
   /// Workspace-factorization counters: proof that a solver mode is actually

@@ -56,10 +56,4 @@ std::vector<double> Histogram::density() const {
   return d;
 }
 
-std::vector<double> Histogram::centers() const {
-  std::vector<double> c(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) c[i] = binCenter(i);
-  return c;
-}
-
 }  // namespace vsstat::stats

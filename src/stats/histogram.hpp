@@ -26,7 +26,6 @@ class Histogram {
 
   /// Probability density per bin (integrates to ~1 over the range).
   [[nodiscard]] std::vector<double> density() const;
-  [[nodiscard]] std::vector<double> centers() const;
 
  private:
   double lo_;

@@ -44,10 +44,6 @@ double TimingTable::delayAt(double slew, double load) const {
   return bilinear(inputSlews, loadsFarads, delay, slew, load);
 }
 
-double TimingTable::outputSlewAt(double slew, double load) const {
-  return bilinear(inputSlews, loadsFarads, outputSlew, slew, load);
-}
-
 CellTiming characterizeInverter(circuits::DeviceProvider& provider,
                                 const circuits::CellSizing& sizing,
                                 const CharacterizationOptions& options) {

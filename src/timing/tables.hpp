@@ -27,17 +27,12 @@ struct TimingTable {
 
   /// Bilinear interpolation (clamped at the grid edges).
   [[nodiscard]] double delayAt(double slew, double load) const;
-  [[nodiscard]] double outputSlewAt(double slew, double load) const;
 };
 
 /// Both arcs of an inverting cell.
 struct CellTiming {
   TimingTable fall;  ///< input rise -> output fall (tpHL)
   TimingTable rise;  ///< input fall -> output rise (tpLH)
-
-  [[nodiscard]] double averageDelayAt(double slew, double load) const {
-    return 0.5 * (fall.delayAt(slew, load) + rise.delayAt(slew, load));
-  }
 };
 
 struct CharacterizationOptions {

@@ -1,6 +1,9 @@
 #include "util/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <new>
 
 namespace vsstat::util {
 
@@ -25,6 +28,48 @@ unsigned effectiveThreadCount(unsigned requested) noexcept {
 ThreadPool& ThreadPool::instance() {
   static ThreadPool pool;
   return pool;
+}
+
+ThreadPool::ThreadPool() {
+  ::pthread_atfork(&ThreadPool::prepareFork, &ThreadPool::parentAfterFork,
+                   &ThreadPool::childAfterFork);
+}
+
+// A forking thread inside a sweep (a pool worker, or a caller running its
+// share) skips jobMutex_: the sweep's caller already holds it.  Every other
+// forking thread waits for the running sweep to drain, so the child never
+// inherits a half-published job.
+void ThreadPool::prepareFork() noexcept {
+  ThreadPool& pool = instance();
+  if (!tlsInSweep) pool.jobMutex_.lock();
+  pool.stateMutex_.lock();
+  pool.errorMutex_.lock();
+}
+
+void ThreadPool::parentAfterFork() noexcept {
+  ThreadPool& pool = instance();
+  pool.errorMutex_.unlock();
+  pool.stateMutex_.unlock();
+  if (!tlsInSweep) pool.jobMutex_.unlock();
+}
+
+void ThreadPool::childAfterFork() noexcept {
+  ThreadPool& pool = instance();
+  // Only the forking thread survives.  The parent's worker handles can be
+  // neither joined nor destroyed while joinable, so they are leaked.  The
+  // condition variables still count the dead workers as waiters and would
+  // swallow wakeups meant for new ones, so they are constructed afresh
+  // (never destroyed: destroying a condvar with waiters blocks).
+  static_cast<void>(new std::vector<std::thread>(std::move(pool.workers_)));
+  pool.workers_.clear();
+  new (&pool.workCv_) std::condition_variable;
+  new (&pool.doneCv_) std::condition_variable;
+  pool.helpersWanted_ = 0;
+  pool.helpersJoined_ = 0;
+  pool.active_ = 0;
+  pool.errorMutex_.unlock();
+  pool.stateMutex_.unlock();
+  if (!tlsInSweep) pool.jobMutex_.unlock();
 }
 
 ThreadPool::~ThreadPool() {

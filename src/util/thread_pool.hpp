@@ -7,6 +7,11 @@
 // on demand up to the largest concurrency ever requested.  Work items are
 // index-addressed (parallel-for style) because MC samples are embarrassingly
 // parallel and identified by their sample index.
+//
+// The pool is fork-safe (util::runIsolated forks campaign workloads): a
+// pthread_atfork handler holds the pool's locks across fork(), and the
+// child forgets the parent's workers -- which do not exist in the child --
+// so its first parallel call grows fresh ones.
 #ifndef VSSTAT_UTIL_THREAD_POOL_HPP
 #define VSSTAT_UTIL_THREAD_POOL_HPP
 
@@ -49,7 +54,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
  private:
-  ThreadPool() = default;
+  ThreadPool();
+
+  // pthread_atfork handlers for the process-wide instance.
+  static void prepareFork() noexcept;
+  static void parentAfterFork() noexcept;
+  static void childAfterFork() noexcept;
 
   void ensureWorkers(unsigned needed);
   void workerMain();

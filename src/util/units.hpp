@@ -65,9 +65,6 @@ inline constexpr double kCmPerS = 1e-2;
 [[nodiscard]] inline constexpr double cmPerSToSI(double v) noexcept {
   return v * kCmPerS;
 }
-[[nodiscard]] inline constexpr double siToCmPerS(double v) noexcept {
-  return v / kCmPerS;
-}
 
 // --- time -------------------------------------------------------------------
 inline constexpr double kPs = 1e-12;  ///< picosecond in seconds

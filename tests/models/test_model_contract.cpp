@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "models/alpha_power.hpp"
 #include "models/bsim_lite.hpp"
@@ -20,6 +21,9 @@ struct ContractCase {
   std::string label;
   std::function<std::unique_ptr<MosfetModel>()> make;
   double widthNm;
+  /// Same family and polarity, threshold shifted +30 mV: a second card for
+  /// the rebind cases.
+  std::function<std::unique_ptr<MosfetModel>()> makeShifted;
 };
 
 class ModelContract : public ::testing::TestWithParam<ContractCase> {
@@ -194,6 +198,46 @@ TEST_P(ModelContract, BankRebindLaneTracksNewCard) {
   EXPECT_EQ(out[0].dqgVds, ref.dqgVds);
 }
 
+TEST_P(ModelContract, BankRebindUniformTracksSharedCard) {
+  // The multi-fit layout (makeUniformLoadBank): every lane is a bias point
+  // of ONE card.  After rebindUniform to another card and geometry, every
+  // lane must equal that card's scalar evaluateLoad at its bias, bit for
+  // bit -- the per-lane caches are re-derived, not left on the old card.
+  const auto m = model();
+  const DeviceGeometry g0 = geom();
+  const auto bank = makeUniformLoadBank(*m, g0, 6);
+  ASSERT_EQ(bank->laneCount(), 6u);
+
+  constexpr double kStep = 1e-3;
+  const std::vector<double> vgs = {-0.1, 0.2, 0.45, 0.6, 0.9, 0.9};
+  const std::vector<double> vds = {0.3, -0.4, 0.05, 0.45, 0.9, 0.0};
+  std::vector<MosfetLoadEvaluation> out(vgs.size());
+  bank->evaluateLoadBatch(vgs, vds, kStep, out);  // caches on the old card
+
+  const auto shifted = GetParam().makeShifted();
+  const DeviceGeometry g1 = geometryNm(1.3 * GetParam().widthNm, 45);
+  ASSERT_TRUE(bank->rebindUniform(*shifted, g1));
+  bank->evaluateLoadBatch(vgs, vds, kStep, out);
+  for (std::size_t i = 0; i < vgs.size(); ++i) {
+    const MosfetLoadEvaluation ref =
+        shifted->evaluateLoad(g1, vgs[i], vds[i], kStep);
+    EXPECT_EQ(out[i].at.id, ref.at.id) << "lane " << i;
+    EXPECT_EQ(out[i].at.qg, ref.at.qg) << "lane " << i;
+    EXPECT_EQ(out[i].at.qd, ref.at.qd) << "lane " << i;
+    EXPECT_EQ(out[i].at.qs, ref.at.qs) << "lane " << i;
+    EXPECT_EQ(out[i].didVgs, ref.didVgs) << "lane " << i;
+    EXPECT_EQ(out[i].didVds, ref.didVds) << "lane " << i;
+    EXPECT_EQ(out[i].dqgVgs, ref.dqgVgs) << "lane " << i;
+    EXPECT_EQ(out[i].dqgVds, ref.dqgVds) << "lane " << i;
+    EXPECT_EQ(out[i].dqdVgs, ref.dqdVgs) << "lane " << i;
+    EXPECT_EQ(out[i].dqdVds, ref.dqdVds) << "lane " << i;
+    EXPECT_EQ(out[i].dqsVgs, ref.dqsVgs) << "lane " << i;
+    EXPECT_EQ(out[i].dqsVds, ref.dqsVds) << "lane " << i;
+  }
+  // The shifted card really is a different device at these biases.
+  EXPECT_NE(out[3].at.id, m->evaluateLoad(g1, vgs[3], vds[3], kStep).at.id);
+}
+
 TEST_P(ModelContract, CloneBehavesIdentically) {
   const auto m = model();
   const auto c = m->clone();
@@ -202,6 +246,14 @@ TEST_P(ModelContract, CloneBehavesIdentically) {
                      c->drainCurrent(geom(), vgs, 0.9));
   }
   EXPECT_EQ(m->deviceType(), c->deviceType());
+}
+
+/// A factory for `params` with its threshold member `vt` raised by 30 mV.
+template <class Model, class Params>
+std::function<std::unique_ptr<MosfetModel>()> shiftedCard(Params params,
+                                                          double Params::*vt) {
+  params.*vt += 0.03;
+  return [params] { return std::make_unique<Model>(params); };
 }
 
 std::vector<ContractCase> contractCases() {
@@ -213,28 +265,36 @@ std::vector<ContractCase> contractCases() {
     };
     cases.push_back({tag("VsNmos"),
                      [] { return std::make_unique<VsModel>(defaultVsNmos()); },
-                     w});
+                     w,
+                     shiftedCard<VsModel>(defaultVsNmos(), &VsParams::vt0)});
     cases.push_back({tag("VsPmos"),
                      [] { return std::make_unique<VsModel>(defaultVsPmos()); },
-                     w});
+                     w,
+                     shiftedCard<VsModel>(defaultVsPmos(), &VsParams::vt0)});
     cases.push_back(
         {tag("BsimNmos"),
-         [] { return std::make_unique<BsimLite>(defaultBsimNmos()); }, w});
+         [] { return std::make_unique<BsimLite>(defaultBsimNmos()); }, w,
+         shiftedCard<BsimLite>(defaultBsimNmos(), &BsimParams::vth0)});
     cases.push_back(
         {tag("BsimPmos"),
-         [] { return std::make_unique<BsimLite>(defaultBsimPmos()); }, w});
+         [] { return std::make_unique<BsimLite>(defaultBsimPmos()); }, w,
+         shiftedCard<BsimLite>(defaultBsimPmos(), &BsimParams::vth0)});
     cases.push_back({tag("AlphaNmos"),
                      [] {
                        return std::make_unique<AlphaPowerModel>(
                            defaultAlphaNmos());
                      },
-                     w});
+                     w,
+                     shiftedCard<AlphaPowerModel>(defaultAlphaNmos(),
+                                                  &AlphaPowerParams::vth0)});
     cases.push_back({tag("AlphaPmos"),
                      [] {
                        return std::make_unique<AlphaPowerModel>(
                            defaultAlphaPmos());
                      },
-                     w});
+                     w,
+                     shiftedCard<AlphaPowerModel>(defaultAlphaPmos(),
+                                                  &AlphaPowerParams::vth0)});
   }
   return cases;
 }

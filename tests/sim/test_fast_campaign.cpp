@@ -72,7 +72,7 @@ mc::McResult snmCampaign(int samples, unsigned threads,
             measure::measureSnm(session.fixture(), session.spice(), kSnmPoints)
                 .cellSnm();
       },
-      spice::SessionOptions{.useDeviceBank = true, .numerics = numerics});
+      spice::SessionOptions{.numerics = numerics});
 }
 
 mc::McResult invCampaign(int samples, unsigned threads,
@@ -93,7 +93,7 @@ mc::McResult invCampaign(int samples, unsigned threads,
         out[0] = measure::measureGateDelays(session.fixture(), session.spice())
                      .average();
       },
-      spice::SessionOptions{.useDeviceBank = true, .numerics = numerics});
+      spice::SessionOptions{.numerics = numerics});
 }
 
 void expectBitIdentical(const mc::McResult& lhs, const mc::McResult& rhs) {
@@ -163,15 +163,6 @@ TEST(FastCampaign, FastModeBitIdenticalAcrossThreadCounts) {
   const mc::McResult i1 = invCampaign(4, 1, models::NumericsMode::fast);
   const mc::McResult i4 = invCampaign(4, 4, models::NumericsMode::fast);
   expectBitIdentical(i1, i4);
-}
-
-TEST(FastCampaign, FastRequiresTheDeviceBank) {
-  spice::Circuit circuit;
-  spice::SessionOptions options;
-  options.useDeviceBank = false;
-  options.numerics = models::NumericsMode::fast;
-  EXPECT_THROW(spice::SimSession(circuit, options),
-               vsstat::InvalidArgumentError);
 }
 
 }  // namespace

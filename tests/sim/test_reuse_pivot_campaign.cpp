@@ -60,7 +60,6 @@ constexpr int kSnmPoints = 31;
 spice::SessionOptions sessionOptions(linalg::SolverMode solver,
                                      models::NumericsMode numerics) {
   spice::SessionOptions o;
-  o.useDeviceBank = true;
   o.numerics = numerics;
   o.solver = solver;
   return o;

@@ -1,34 +1,51 @@
-// The device bank's core contract (spice/device_bank.hpp): a banked
-// assembly -- gather, one batch evaluation per model group, direct-slot
-// scatter -- must reproduce the scalar per-element Newton path BIT-for-bit
-// on every analysis: DC operating points, sweeps, and transients; on
-// homogeneous and mixed-model circuits; and across in-place and
-// cross-family rebinds (which force a lane refresh resp. a bank rebuild).
+// The device bank (spice/device_bank.hpp) is the only path by which a
+// MOSFET is evaluated and stamped, so its stamps are checked against
+// oracles outside the engine:
+//   * every Jacobian slot of an assembly matches a central difference of
+//     the assembled residual, in DC and in trapezoidal-transient mode, on
+//     the paper's INV, NAND2 and SRAM VS fixtures;
+//   * a converged DC operating point satisfies KCL computed from
+//     MosfetElement::terminalDrainCurrent and the source branch currents;
+//   * a session rebound to new cards -- in place or across model families
+//     (a lane refresh resp. a bank rebuild) -- is bit-identical to a freshly
+//     built session on those cards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "circuits/benchmarks.hpp"
 #include "circuits/provider.hpp"
-#include "measure/snm.hpp"
+#include "linalg/matrix.hpp"
 #include "models/alpha_power.hpp"
 #include "models/bsim_lite.hpp"
 #include "models/vs_model.hpp"
 #include "spice/analysis.hpp"
+#include "spice/assembler.hpp"
 #include "spice/circuit.hpp"
 #include "spice/elements.hpp"
 #include "spice/session.hpp"
+#include "spice/solver_core.hpp"
+#include "support/mna_oracles.hpp"
 
 namespace vsstat::spice {
 namespace {
+
+using test_support::expectKcl;
 
 models::VsParams nmosCard() { return models::defaultVsNmos(); }
 models::VsParams pmosCard() { return models::defaultVsPmos(); }
 
 /// Inverter driving a capacitive load, with a pulse input: exercises DC
 /// (homotopies off the zero guess) and transient (charge stamps).
-Circuit makeInverter() {
+/// `nmos` replaces the pull-down's card when given.
+Circuit makeInverter(const models::MosfetModel* nmos = nullptr,
+                     models::DeviceGeometry nmosGeometry =
+                         models::geometryNm(300, 40)) {
   Circuit c;
   const NodeId vdd = c.node("vdd");
   const NodeId in = c.node("in");
@@ -41,8 +58,9 @@ Circuit makeInverter() {
               std::make_unique<models::VsModel>(pmosCard()),
               models::geometryNm(600, 40));
   c.addMosfet("MN", out, in, c.ground(),
-              std::make_unique<models::VsModel>(nmosCard()),
-              models::geometryNm(300, 40));
+              nmos != nullptr ? nmos->clone()
+                              : std::make_unique<models::VsModel>(nmosCard()),
+              nmosGeometry);
   c.addCapacitor("CL", out, c.ground(), 2e-15);
   return c;
 }
@@ -71,8 +89,34 @@ Circuit makeMixedFamilies() {
               std::make_unique<models::AlphaPowerModel>(
                   models::defaultAlphaNmos()),
               models::geometryNm(150, 40));
-  c.addResistor("RL", tail, c.ground(), 5e5);
+  c.addCapacitor("CT", tail, c.ground(), 1e-15);
   return c;
+}
+
+/// The paper's VS fixtures with nominal cards.
+struct Fixture {
+  std::string label;
+  Circuit circuit;
+};
+
+std::vector<Fixture> vsFixtures() {
+  const models::VsModel nmos(nmosCard());
+  const models::VsModel pmos(pmosCard());
+  circuits::NominalProvider provider(nmos, pmos);
+  std::vector<Fixture> out;
+  out.push_back({"inv_fo3", circuits::buildInvFo3(provider,
+                                                  circuits::CellSizing{},
+                                                  circuits::StimulusSpec{})
+                                .circuit});
+  out.push_back({"nand2_fo3", circuits::buildNand2Fo3(
+                                  provider, circuits::CellSizing{},
+                                  circuits::StimulusSpec{})
+                                  .circuit});
+  out.push_back({"sram_read", circuits::buildSramButterfly(
+                                  provider, 0.9, circuits::SramMode::Read,
+                                  circuits::SramSizing{})
+                                  .circuit});
+  return out;
 }
 
 void expectSameOp(const OperatingPoint& a, const OperatingPoint& b) {
@@ -96,123 +140,205 @@ void expectSameWave(const Waveform& a, const Waveform& b) {
   }
 }
 
-TEST(DeviceBank, DcOperatingPointBitIdenticalToScalar) {
-  Circuit banked = makeInverter();
-  Circuit scalar = makeInverter();
-  SimSession bankedSession(banked, SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
-  ASSERT_EQ(bankedSession.deviceBankLaneCount(), 2u);
-  ASSERT_EQ(scalarSession.deviceBankLaneCount(), 0u);
+// --- Jacobian vs central difference of the assembled residual -----------------
 
-  expectSameOp(bankedSession.dcOperatingPoint(),
-               scalarSession.dcOperatingPoint());
+enum class StampMode { dc, trapezoidal };
+
+/// Central-difference step [V or A] and tolerance of the Jacobian check.
+/// The VS derivatives are analytic, so the residual is smooth on this scale
+/// and the difference is good to ~1e-7 of a row's largest entry; 1e-5
+/// leaves margin while a flipped or dropped stamp misses by O(1).
+constexpr double kFdStep = 1e-6;
+constexpr double kFdRelTol = 1e-5;
+
+/// An iterate off every solution: node voltages spread over [-0.1, 1.0] V
+/// so devices sit in cutoff, saturation, triode and reverse conduction;
+/// branch currents of tens of microamps.
+linalg::Vector offSolutionIterate(const Circuit& circuit) {
+  linalg::Vector x(circuit.unknownCount());
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    const double phase = std::sin(1.7 * static_cast<double>(k) + 0.3);
+    x[k] = k + 1 < circuit.nodeCount() ? 0.45 + 0.55 * phase : 3e-5 * phase;
+  }
+  return x;
 }
 
-TEST(DeviceBank, TransientBitIdenticalToScalar) {
-  Circuit banked = makeInverter();
-  Circuit scalar = makeInverter();
-  SimSession bankedSession(banked, SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
+/// Assembles at `x` and checks every Jacobian entry -- pattern slots and
+/// structural zeros alike -- against (F(x + h e_j) - F(x - h e_j)) / 2h.
+/// Trapezoidal mode first commits the charges of a nearby state, so the
+/// companion history is live; it is constant in x and drops out of the
+/// difference.
+void expectJacobianMatchesResidual(const std::string& label,
+                                   const Circuit& circuit,
+                                   const linalg::Vector& x, StampMode mode) {
+  detail::Assembler assembler(circuit);
+  if (mode == StampMode::trapezoidal) {
+    linalg::Vector previous = x;
+    for (double& v : previous) v *= 0.9;
+    assembler.assemble(previous);
+    assembler.commitCharges();
+    const std::vector<double> currentPrev(
+        static_cast<std::size_t>(circuit.chargeSlotTotal()), 1e-6);
+    assembler.setTrapezoidal(0.5e-12, currentPrev);
+  }
 
-  TransientOptions opt;
-  opt.tStop = 200e-12;
-  opt.dt = 1e-12;
-  expectSameWave(bankedSession.transient(opt), scalarSession.transient(opt));
+  const std::size_t n = x.size();
+  assembler.assemble(x);
+  linalg::Matrix jacobian(n, n);
+  assembler.scatterJacobian(jacobian);
+
+  linalg::Matrix difference(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    linalg::Vector probe = x;
+    probe[j] = x[j] + kFdStep;
+    assembler.assemble(probe);
+    const linalg::Vector plus = assembler.residual();
+    probe[j] = x[j] - kFdStep;
+    assembler.assemble(probe);
+    const linalg::Vector& minus = assembler.residual();
+    for (std::size_t i = 0; i < n; ++i)
+      difference(i, j) = (plus[i] - minus[i]) / (2.0 * kFdStep);
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    double rowScale = 0.0;
+    for (std::size_t j = 0; j < n; ++j)
+      rowScale = std::max(rowScale, std::fabs(difference(i, j)));
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_NEAR(jacobian(i, j), difference(i, j),
+                  kFdRelTol * rowScale + 1e-15)
+          << label << (mode == StampMode::dc ? " dc" : " trapezoidal")
+          << " J(" << i << ", " << j << ")";
+    }
+  }
 }
 
-TEST(DeviceBank, MixedModelFamiliesBitIdenticalToScalar) {
-  Circuit banked = makeMixedFamilies();
-  Circuit scalar = makeMixedFamilies();
-  SimSession bankedSession(banked, SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
-  // VS group (MP, MN) + BsimLite group + AlphaPower group.
-  ASSERT_EQ(bankedSession.deviceBankLaneCount(), 4u);
-
-  expectSameOp(bankedSession.dcOperatingPoint(),
-               scalarSession.dcOperatingPoint());
-
-  // Sweep the input: warm-started trajectories must stay locked too.
-  std::vector<double> levels;
-  for (int i = 0; i <= 30; ++i) levels.push_back(0.9 * i / 30.0);
-  const auto bankedSweep = bankedSession.dcSweep("VIN", levels);
-  const auto scalarSweep = scalarSession.dcSweep("VIN", levels);
-  ASSERT_EQ(bankedSweep.size(), scalarSweep.size());
-  for (std::size_t i = 0; i < bankedSweep.size(); ++i)
-    expectSameOp(bankedSweep[i], scalarSweep[i]);
+TEST(DeviceBankStamps, JacobianMatchesCentralDifferenceOnVsFixtures) {
+  for (Fixture& f : vsFixtures()) {
+    SimSession session(f.circuit);
+    ASSERT_GT(session.deviceBankLaneCount(), 0u) << f.label;
+    const linalg::Vector solved =
+        detail::unpackGuess(f.circuit, session.dcOperatingPoint());
+    const linalg::Vector generic = offSolutionIterate(f.circuit);
+    for (const StampMode mode : {StampMode::dc, StampMode::trapezoidal}) {
+      expectJacobianMatchesResidual(f.label + " @op", f.circuit, solved, mode);
+      expectJacobianMatchesResidual(f.label + " @generic", f.circuit, generic,
+                                    mode);
+    }
+  }
 }
 
-TEST(DeviceBank, InPlaceRebindRefreshesLanes) {
-  Circuit banked = makeInverter();
-  Circuit scalar = makeInverter();
-  SimSession bankedSession(banked, SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
-  (void)bankedSession.dcOperatingPoint();  // lanes derived from the old card
+// --- KCL at converged operating points --------------------------------------------
 
-  // Same-type rebind overwrites the card in place; the bank must re-derive
-  // its cached per-lane state before the next solve.
-  models::VsParams shifted = nmosCard();
-  shifted.vt0 += 0.07;
-  const models::VsModel card(shifted);
-  banked.mosfet("MN").rebind(card, models::geometryNm(320, 42));
-  scalar.mosfet("MN").rebind(card, models::geometryNm(320, 42));
-
-  expectSameOp(bankedSession.dcOperatingPoint(),
-               scalarSession.dcOperatingPoint());
+TEST(DeviceBankStamps, DcOperatingPointSatisfiesKcl) {
+  for (Fixture& f : vsFixtures()) {
+    SCOPED_TRACE(f.label);
+    expectKcl(f.circuit, dcOperatingPoint(f.circuit));
+  }
+  const Circuit mixed = makeMixedFamilies();
+  expectKcl(mixed, dcOperatingPoint(mixed));
 }
 
-TEST(DeviceBank, CrossFamilyRebindRebuildsBank) {
-  Circuit banked = makeInverter();
-  Circuit scalar = makeInverter();
-  SimSession bankedSession(banked, SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
-  (void)bankedSession.dcOperatingPoint();
-
-  // Cross-family rebind clones a BsimLite card into the VS lane: the VS
-  // bank reports the incompatible type and the set regroups.
-  const models::BsimLite golden(models::defaultBsimNmos());
-  banked.mosfet("MN").rebind(golden, models::geometryNm(300, 40));
-  scalar.mosfet("MN").rebind(golden, models::geometryNm(300, 40));
-
-  expectSameOp(bankedSession.dcOperatingPoint(),
-               scalarSession.dcOperatingPoint());
-}
-
-TEST(DeviceBank, SramSnmFixtureBitIdenticalToScalar) {
-  // The paper's Fig. 9 inner loop on the real 6T READ fixture: butterfly
-  // sweeps + SNM through banked and scalar sessions.
+TEST(DeviceBankStamps, SweepLevelsSatisfyKcl) {
+  // Warm-started sweep levels through one session: every level is a
+  // converged operating point of its own.
   const models::VsModel nmos(nmosCard());
   const models::VsModel pmos(pmosCard());
-  circuits::NominalProvider p1(nmos, pmos);
-  circuits::NominalProvider p2(nmos, pmos);
-  circuits::SramButterflyBench banked = circuits::buildSramButterfly(
-      p1, 0.9, circuits::SramMode::Read, circuits::SramSizing{});
-  circuits::SramButterflyBench scalar = circuits::buildSramButterfly(
-      p2, 0.9, circuits::SramMode::Read, circuits::SramSizing{});
-  SimSession bankedSession(banked.circuit,
-                           SessionOptions{.useDeviceBank = true});
-  SimSession scalarSession(scalar.circuit,
-                           SessionOptions{.useDeviceBank = false});
-  ASSERT_EQ(bankedSession.deviceBankLaneCount(), 6u);
-
-  const measure::SnmResult a = measure::measureSnm(banked, bankedSession, 45);
-  const measure::SnmResult b = measure::measureSnm(scalar, scalarSession, 45);
-  EXPECT_EQ(a.lobe1, b.lobe1);
-  EXPECT_EQ(a.lobe2, b.lobe2);
+  circuits::NominalProvider provider(nmos, pmos);
+  circuits::SramButterflyBench bench = circuits::buildSramButterfly(
+      provider, 0.9, circuits::SramMode::Read, circuits::SramSizing{});
+  SimSession session(bench.circuit);
+  std::vector<double> levels;
+  for (int i = 0; i <= 9; ++i) levels.push_back(0.1 * i);
+  for (const OperatingPoint& op : session.dcSweep(bench.sweep1, levels))
+    expectKcl(bench.circuit, op);
 }
 
-TEST(DeviceBank, FreeFunctionsMatchScalarSessions) {
-  // The free-analysis entry points default to banked assemblers; they must
-  // agree with an explicitly scalar session on the same topology.
-  Circuit freePath = makeInverter();
-  Circuit scalar = makeInverter();
-  SimSession scalarSession(scalar, SessionOptions{.useDeviceBank = false});
+// --- Rebound sessions vs freshly built ones ---------------------------------------
 
-  expectSameOp(dcOperatingPoint(freePath), scalarSession.dcOperatingPoint());
+/// Runs DC, a sweep and a transient through `session`.
+struct Runs {
+  OperatingPoint op;
+  std::vector<OperatingPoint> sweep;
+  Waveform wave;
+};
+
+Runs runAll(SimSession& session) {
+  TransientOptions tran;
+  tran.tStop = 120e-12;
+  tran.dt = 1e-12;
+  std::vector<double> levels;
+  for (int i = 0; i <= 12; ++i) levels.push_back(0.075 * i);
+  OperatingPoint op = session.dcOperatingPoint();
+  std::vector<OperatingPoint> sweep = session.dcSweep("VIN", levels);
+  return Runs{std::move(op), std::move(sweep), session.transient(tran)};
+}
+
+void expectSameRuns(const Runs& a, const Runs& b) {
+  expectSameOp(a.op, b.op);
+  ASSERT_EQ(a.sweep.size(), b.sweep.size());
+  for (std::size_t i = 0; i < a.sweep.size(); ++i)
+    expectSameOp(a.sweep[i], b.sweep[i]);
+  expectSameWave(a.wave, b.wave);
+}
+
+TEST(DeviceBankRebind, InPlaceRebindMatchesFreshSession) {
+  models::VsParams shifted = nmosCard();
+  shifted.vt0 += 0.07;
+  shifted.mu *= 0.9;
+  const models::VsModel card(shifted);
+  const models::DeviceGeometry geometry = models::geometryNm(320, 42);
+
+  Circuit rebound = makeInverter();
+  SimSession reboundSession(rebound);
+  (void)runAll(reboundSession);  // lanes derived from the old card
+  rebound.mosfet("MN").rebind(card, geometry);
+
+  Circuit fresh = makeInverter(&card, geometry);
+  SimSession freshSession(fresh);
+  expectSameRuns(runAll(reboundSession), runAll(freshSession));
+}
+
+TEST(DeviceBankRebind, CrossFamilyRebindMatchesFreshSession) {
+  // A BsimLite card in the VS lane: the VS bank rejects the type and the
+  // set regroups into a VS group and a generic group.
+  const models::BsimLite card(models::defaultBsimNmos());
+  const models::DeviceGeometry geometry = models::geometryNm(300, 40);
+
+  Circuit rebound = makeInverter();
+  SimSession reboundSession(rebound);
+  (void)runAll(reboundSession);
+  rebound.mosfet("MN").rebind(card, geometry);
+
+  Circuit fresh = makeInverter(&card, geometry);
+  SimSession freshSession(fresh);
+  expectSameRuns(runAll(reboundSession), runAll(freshSession));
+  expectKcl(rebound, reboundSession.dcOperatingPoint());
+}
+
+// --- Entry points and lane accounting ---------------------------------------------
+
+TEST(DeviceBank, FreeFunctionsMatchSessions) {
+  // The free analyses build a one-shot banked assembler; a persistent
+  // session must reproduce them bit for bit (spice/session.hpp contract).
+  Circuit freePath = makeInverter();
+  Circuit sessionPath = makeInverter();
+  SimSession session(sessionPath);
+
+  expectSameOp(dcOperatingPoint(freePath), session.dcOperatingPoint());
 
   TransientOptions opt;
   opt.tStop = 100e-12;
   opt.dt = 1e-12;
-  expectSameWave(transient(freePath, opt), scalarSession.transient(opt));
+  expectSameWave(transient(freePath, opt), session.transient(opt));
+}
+
+TEST(DeviceBank, EveryMosfetIsALane) {
+  Circuit inverter = makeInverter();
+  EXPECT_EQ(SimSession(inverter).deviceBankLaneCount(), 2u);
+  // VS group (MP, MN) + BsimLite group + AlphaPower group.
+  Circuit mixed = makeMixedFamilies();
+  EXPECT_EQ(SimSession(mixed).deviceBankLaneCount(), 4u);
 }
 
 }  // namespace

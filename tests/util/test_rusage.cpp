@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
+
+#include "util/thread_pool.hpp"
 
 namespace vsstat::util {
 namespace {
@@ -31,6 +35,35 @@ TEST(RunIsolated, ChildMemoryDoesNotLeakIntoParent) {
   });
   const CampaignUsage small = runIsolated([] {});
   EXPECT_GT(big.maxRssMiB, small.maxRssMiB);
+}
+
+/// Sum of i*i over [0, n) through the shared pool on four threads.
+std::uint64_t pooledSquareSum(std::size_t n) {
+  std::atomic<std::uint64_t> sum{0};
+  parallelFor(
+      n,
+      [&](std::size_t i) {
+        sum.fetch_add(static_cast<std::uint64_t>(i) * i,
+                      std::memory_order_relaxed);
+      },
+      4);
+  return sum.load();
+}
+
+TEST(RunIsolated, ChildrenOfAWarmPoolRunParallelFor) {
+  // Forking right after a parent sweep is when a late-waking worker may
+  // hold the pool's state lock; a child that inherited that lock would
+  // block forever in its own parallelFor (the ctest TIMEOUT catches it).
+  constexpr std::size_t kCount = 1000;
+  const std::uint64_t expected = pooledSquareSum(kCount);
+  for (int round = 0; round < 200; ++round) {
+    ASSERT_EQ(pooledSquareSum(kCount), expected);
+    const CampaignUsage u = runIsolated([&] {
+      if (pooledSquareSum(kCount) != expected)
+        throw std::runtime_error("child sum differs");
+    });
+    ASSERT_EQ(u.exitCode, 0) << "round " << round;
+  }
 }
 
 TEST(RunInProcess, MeasuresWallTime) {
