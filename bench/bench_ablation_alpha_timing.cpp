@@ -11,9 +11,11 @@
 // its power law has no physical content.
 #include <cmath>
 #include <iostream>
+#include <type_traits>
+#include <utility>
 
 #include "common.hpp"
-#include "extract/fit.hpp"
+#include "extract/fit_campaign.hpp"
 #include "measure/delay.hpp"
 #include "models/alpha_power.hpp"
 #include "models/bsim_lite.hpp"
@@ -24,6 +26,25 @@
 using namespace vsstat;
 
 namespace {
+
+/// One-lane golden-kit fit of `seed` on `plan`: returns the campaign result
+/// and the fitted card.
+template <class Params>
+std::pair<extract::FitCampaignResult, Params> fitToGolden(
+    const Params& seed, const models::MosfetModel& golden,
+    const models::DeviceGeometry& geom, extract::MeasurementGrid plan) {
+  const extract::FitCampaign campaign(seed, geom, std::move(plan));
+  extract::FitCampaignResult r = campaign.run(
+      1, 0, [&](std::size_t, stats::Rng& rng, extract::FitDataset& d) {
+        campaign.synthesizeDataset(golden, 0.0, rng, d);
+      });
+  Params card;
+  if constexpr (std::is_same_v<Params, models::VsParams>)
+    card = campaign.vsCard(r, 0);
+  else
+    card = campaign.alphaCard(r, 0);
+  return {std::move(r), card};
+}
 
 double invDelay(circuits::DeviceProvider& provider, double vdd) {
   circuits::StimulusSpec stim;
@@ -51,16 +72,22 @@ int main() {
   const models::DeviceGeometry geom = models::geometryNm(300, 40);
 
   // One nominal fit per model family at the nominal supply.
-  const extract::IvFitResult vsFitN =
-      extract::fitVsToGolden(models::defaultVsNmos(), goldenN, geom);
-  const extract::IvFitResult vsFitP =
-      extract::fitVsToGolden(models::defaultVsPmos(), goldenP, geom);
-  const extract::AlphaFitResult apFitN =
-      extract::fitAlphaPowerToGolden(models::defaultAlphaNmos(), goldenN, geom);
-  const extract::AlphaFitResult apFitP =
-      extract::fitAlphaPowerToGolden(models::defaultAlphaPmos(), goldenP, geom);
-  std::cout << "fit status: VS " << (vsFitN.converged && vsFitP.converged)
-            << ", alpha-power " << (apFitN.converged && apFitP.converged)
+  const auto [vsFitN, vsCardN] = fitToGolden(
+      models::defaultVsNmos(), goldenN, geom, extract::goldenVsPlan());
+  const auto [vsFitP, vsCardP] = fitToGolden(
+      models::defaultVsPmos(), goldenP, geom, extract::goldenVsPlan());
+  const auto [apFitN, apCardN] =
+      fitToGolden(models::defaultAlphaNmos(), goldenN, geom,
+                  extract::goldenAlphaPowerPlan());
+  const auto [apFitP, apCardP] =
+      fitToGolden(models::defaultAlphaPmos(), goldenP, geom,
+                  extract::goldenAlphaPowerPlan());
+  const auto outcome = [](const extract::FitCampaignResult& r) {
+    return extract::toString(r.outcomes[0]);
+  };
+  std::cout << "fit outcome: VS NMOS " << outcome(vsFitN) << ", VS PMOS "
+            << outcome(vsFitP) << ", alpha-power NMOS " << outcome(apFitN)
+            << ", alpha-power PMOS " << outcome(apFitP)
             << "  (DC parameter counts: VS 11, alpha-power 6+2 cap)\n";
 
   util::Table table({"Vdd [V]", "golden [ps]", "VS [ps]", "VS err",
@@ -69,10 +96,10 @@ int main() {
   for (const double vdd : {0.9, 0.7, 0.55}) {
     circuits::NominalProvider golden(models::BsimLite(kit.nmos),
                                      models::BsimLite(kit.pmos));
-    circuits::NominalProvider vs(models::VsModel(vsFitN.card),
-                                 models::VsModel(vsFitP.card));
-    circuits::NominalProvider ap(models::AlphaPowerModel(apFitN.card),
-                                 models::AlphaPowerModel(apFitP.card));
+    circuits::NominalProvider vs(models::VsModel{vsCardN},
+                                 models::VsModel{vsCardP});
+    circuits::NominalProvider ap(models::AlphaPowerModel{apCardN},
+                                 models::AlphaPowerModel{apCardP});
 
     const double tGolden = invDelay(golden, vdd);
     const double tVs = invDelay(vs, vdd);
@@ -101,10 +128,10 @@ int main() {
   {
     circuits::NominalProvider golden(models::BsimLite(kit.nmos),
                                      models::BsimLite(kit.pmos));
-    circuits::NominalProvider vs(models::VsModel(vsFitN.card),
-                                 models::VsModel(vsFitP.card));
-    circuits::NominalProvider ap(models::AlphaPowerModel(apFitN.card),
-                                 models::AlphaPowerModel(apFitP.card));
+    circuits::NominalProvider vs(models::VsModel{vsCardN},
+                                 models::VsModel{vsCardP});
+    circuits::NominalProvider ap(models::AlphaPowerModel{apCardN},
+                                 models::AlphaPowerModel{apCardP});
     const auto leak = [](circuits::DeviceProvider& p) {
       circuits::GateFo3Bench b =
           circuits::buildInvFo3(p, circuits::CellSizing{},

@@ -1,24 +1,17 @@
 // Multi-fit extraction benchmark: the banked campaign engine
-// (extract::FitCampaign) vs the legacy one-die scalar extraction shape on
-// a production-volume batch of VS-card re-extractions.
+// (extract::FitCampaign) on a production-volume batch of VS-card
+// re-extractions, in both numerics modes.
 //
-//   extract_fit_scalar        -- serial baseline, one die at a time the way
-//                                extract::fit does it: a fresh VsModel per
-//                                residual evaluation, the allocating
-//                                free-function LM, per-point evaluateLoad.
 //   extract_campaign_banked   -- FitCampaign, reference numerics: lanes
 //                                scheduled over the thread pool, per-worker
 //                                allocation-free LM workspace, the whole
-//                                bias grid evaluated through one device
-//                                bank per fit iteration.  Bit-identical
-//                                fits to the scalar baseline (same seeds,
-//                                same datasets) -- checked in-process and
-//                                emitted as "bit_identical".
+//                                measurement plan evaluated through one
+//                                device bank per fit iteration.
 //   extract_campaign_banked_fast -- same campaign under NumericsMode::fast
 //                                (SIMD transcendental kernels): the
 //                                throughput mode extraction's fit-tolerance
-//                                contract legitimizes; carries the headline
-//                                speedup_vs_scalar_fit.
+//                                contract legitimizes; carries
+//                                speedup_vs_banked over the reference row.
 //
 // Every lane synthesizes a noisy I-V/Cgg dataset from a vt0-perturbed
 // golden truth card and re-extracts it, so rows also report recovery
@@ -32,24 +25,22 @@
 // across 1/2/4 workers (--scaling mode, scripts/check_scaling.py).
 //
 // Usage: bench_extract [--quick] [--threads N] [--scaling]
-//   --threads N   worker count for the banked campaign rows (default 8)
+//   --threads N   worker count for the campaign rows (default 8)
 //   --scaling     emit only extract_campaign{,_fast} rows at the given
-//                 worker count, skipping the scalar baseline
+//                 worker count, without the comparison fields
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <functional>
-#include <limits>
 #include <string>
-#include <vector>
 
 #include "alloc_count.hpp"
 #include "extract/fit_campaign.hpp"
 #include "models/vs_model.hpp"
-#include "util/error.hpp"
 
 namespace vsstat {
 namespace {
@@ -59,12 +50,10 @@ using extract::FitCampaign;
 using extract::FitCampaignResult;
 using extract::FitDataset;
 using extract::FitOutcome;
-using extract::MeasurementGrid;
 
 constexpr std::uint64_t kSeed = 2013;
 constexpr double kVtSigma = 0.015;   ///< per-die truth vt0 spread [V]
 constexpr double kNoiseRel = 0.004;  ///< multiplicative measurement noise
-constexpr double kLoadFdStep = 1e-3;
 
 unsigned gThreads = 8;
 bool gScalingOnly = false;
@@ -156,115 +145,29 @@ CardError cardError(const FitCampaignResult& r, const models::VsParams& seed,
   return e;
 }
 
-/// The legacy one-die extraction shape, run serially over the same lanes:
-/// free-function LM (allocates its workspace per fit), a fresh VsModel
-/// constructed per residual evaluation, scalar evaluateLoad per bias
-/// point.  Same grid, bounds, datasets and iteration budget as the
-/// campaign, so its results are bit-identical to the banked reference run
-/// -- what it measures is the cost of the legacy layout.
-FitCampaignResult scalarFitBatch(const FitCampaign& campaign,
-                                 const models::VsParams& seed, int fits,
-                                 std::uint64_t campaignSeed) {
-  const MeasurementGrid& g = campaign.grid();
-  const models::DeviceGeometry geom{80e-9, 40e-9};
-  const std::size_t pointCount = g.points.size();
-  const std::size_t n = 7;
-  linalg::LevMarOptions opt;
-  opt.maxIterations = campaign.options().maxIterations;
-  opt.lowerBounds = {0.15, 0.04, 1.22, 0.4e5, 0.6e-2, 1.2, 1.0e-2};
-  opt.upperBounds = {0.65, 0.25, 1.90, 2.5e5, 5.0e-2, 2.8, 2.6e-2};
-  const linalg::Vector x0 = {seed.vt0, seed.delta0, seed.n0, seed.vxo,
-                             seed.mu,  seed.beta,   seed.cinv};
-
-  FitCampaignResult res;
-  res.laneCount = static_cast<std::size_t>(fits);
-  res.paramCount = n;
-  res.params.resize(res.laneCount * n);
-  res.outcomes.assign(res.laneCount, FitOutcome::converged);
-  res.cost.assign(res.laneCount, 0.0);
-  res.iterations.assign(res.laneCount, 0);
-  res.boundMask.assign(res.laneCount, 0);
-
-  const stats::Rng root(campaignSeed);
-  const auto makeDataset = population(campaign, seed);
-  FitDataset d;
-  for (std::size_t lane = 0; lane < res.laneCount; ++lane) {
-    stats::Rng rng = root.fork(lane);
-    d.cgg = 0.0;
-    makeDataset(lane, rng, d);
-
-    const linalg::ResidualFn fn = [&](const linalg::Vector& x,
-                                      linalg::Vector& r) {
-      models::VsParams p = seed;
-      p.vt0 = x[0];
-      p.delta0 = x[1];
-      p.n0 = x[2];
-      p.vxo = x[3];
-      p.mu = x[4];
-      p.beta = x[5];
-      p.cinv = x[6];
-      const models::VsModel m(p);  // fresh card per evaluation: legacy cost
-      for (std::size_t i = 0; i < pointCount; ++i) {
-        const models::MosfetLoadEvaluation ev = m.evaluateLoad(
-            geom, g.points[i].vgs, g.points[i].vds, kLoadFdStep);
-        r[i] = g.points[i].logSpace
-                   ? g.logWeight * std::log(std::max(ev.at.id, 1e-18) / d.id[i])
-                   : g.relWeight * (ev.at.id / d.id[i] - 1.0);
-      }
-      const models::MosfetLoadEvaluation anchor =
-          m.evaluateLoad(geom, g.vdd, g.vdd, kLoadFdStep);
-      r[pointCount] = g.cggWeight * (anchor.dqgVgs / d.cgg - 1.0);
-    };
-
-    double* out = res.params.data() + lane * n;
-    try {
-      const linalg::LevMarResult lm =
-          linalg::levenbergMarquardt(fn, x0, pointCount + 1, opt);
-      std::copy(lm.x.begin(), lm.x.end(), out);
-      res.cost[lane] = lm.cost;
-      res.iterations[lane] = lm.iterations;
-      res.boundMask[lane] = lm.activeBounds;
-      if (lm.activeBounds != 0)
-        res.outcomes[lane] = FitOutcome::boundPinned;
-      else if (!lm.converged || lm.stalled)
-        res.outcomes[lane] = FitOutcome::stalled;
-      else
-        res.outcomes[lane] = FitOutcome::converged;
-    } catch (const SampleFailure& e) {
-      res.outcomes[lane] = e.failureClass() == FailureClass::singular
-                               ? FitOutcome::singularJtJ
-                               : FitOutcome::nonFinite;
-      res.cost[lane] = std::numeric_limits<double>::quiet_NaN();
-      std::copy(x0.begin(), x0.end(), out);
-    }
-  }
-  for (std::size_t lane = 0; lane < res.laneCount; ++lane) {
-    ++res.outcomeCounts[static_cast<int>(res.outcomes[lane])];
-    res.totalLmIterations += static_cast<std::uint64_t>(res.iterations[lane]);
-  }
-  return res;
-}
-
-void emitRow(const std::string& name, int fits, unsigned threads,
-             const FitTiming& t, double scalarUsPerFit, bool bitIdentical,
-             const CardError& err) {
+/// One campaign row; `speedupVsBanked` < 0 omits the field (the reference
+/// row is its own baseline).
+void emitRow(const std::string& name, int fits, const FitTiming& t,
+             double speedupVsBanked, const CardError& err) {
+  char speedup[64] = "";
+  if (speedupVsBanked >= 0.0)
+    std::snprintf(speedup, sizeof speedup, "\"speedup_vs_banked\": %.2f, ",
+                  speedupVsBanked);
   std::printf(
       "{\"name\": \"%s\", \"fits\": %d, \"threads\": %u, "
-      "\"us_per_fit\": %.1f, \"fits_per_sec\": %.1f, "
-      "\"speedup_vs_scalar_fit\": %.2f, \"mean_lm_iters_per_fit\": %.1f, "
+      "\"us_per_fit\": %.1f, \"fits_per_sec\": %.1f, %s"
+      "\"mean_lm_iters_per_fit\": %.1f, "
       "\"allocs_per_fit\": %.2f, \"converged_fraction\": %.3f, "
       "\"mean_card_param_rel_error\": %.4f, "
-      "\"max_card_param_rel_error\": %.4f, \"bit_identical\": %s, "
+      "\"max_card_param_rel_error\": %.4f, "
       "\"metrics_fnv1a\": \"0x%016llx\"}\n",
-      name.c_str(), fits, threads, t.usPerFit, 1e6 / t.usPerFit,
-      scalarUsPerFit / t.usPerFit, t.result.meanIterationsPerFit(),
-      t.allocsPerFit, t.result.convergedFraction(), err.mean, err.max,
-      bitIdentical ? "true" : "false",
+      name.c_str(), fits, gThreads, t.usPerFit, 1e6 / t.usPerFit, speedup,
+      t.result.meanIterationsPerFit(), t.allocsPerFit,
+      t.result.convergedFraction(), err.mean, err.max,
       static_cast<unsigned long long>(t.result.paramsFnv1a()));
 }
 
-/// --scaling row: no scalar baseline ran, so the comparison fields are
-/// omitted -- cross-worker-count identity is what metrics_fnv1a carries.
+/// --scaling row: the comparison fields are omitted -- cross-worker-count identity is what metrics_fnv1a carries.
 /// "samples_per_sec" duplicates fits_per_sec under the key
 /// scripts/check_scaling.py uses for its efficiency table.
 void emitScaling(const std::string& name, int fits, const FitTiming& t) {
@@ -306,9 +209,6 @@ int run(int fits) {
     return 0;
   }
 
-  const FitTiming scalar = timeFits(fits, [&](int n) {
-    return scalarFitBatch(campaignRef, seed, n, kSeed);
-  });
   const FitTiming ref = timeFits(fits, [&](int n) {
     return campaignRef.run(static_cast<std::size_t>(n), kSeed,
                            population(campaignRef, seed));
@@ -317,19 +217,10 @@ int run(int fits) {
     return campaignFast.run(static_cast<std::size_t>(n), kSeed,
                             population(campaignFast, seed));
   });
-
-  // Same seeds, same datasets, reference numerics: the banked campaign must
-  // reproduce the scalar baseline bit-for-bit (bank + workspace contracts).
-  const bool identical =
-      scalar.result.paramsFnv1a() == ref.result.paramsFnv1a();
-
-  emitRow("extract_fit_scalar", fits, 1, scalar, scalar.usPerFit, identical,
-          cardError(scalar.result, seed, kSeed));
-  emitRow("extract_campaign_banked", fits, gThreads, ref, scalar.usPerFit,
-          identical, cardError(ref.result, seed, kSeed));
-  emitRow("extract_campaign_banked_fast", fits, gThreads, fst,
-          scalar.usPerFit, /*bitIdentical=*/false,
-          cardError(fst.result, seed, kSeed));
+  emitRow("extract_campaign_banked", fits, ref, -1.0,
+          cardError(ref.result, seed, kSeed));
+  emitRow("extract_campaign_banked_fast", fits, fst,
+          ref.usPerFit / fst.usPerFit, cardError(fst.result, seed, kSeed));
   return 0;
 }
 

@@ -1,9 +1,12 @@
 // Fig. 1: VS model fitting for NMOS (and PMOS) against the golden 40-nm
 // kit at W/L = 300/40 nm -- Id-Vg (log) and Id-Vd (linear) characteristics.
+#include <cmath>
 #include <iostream>
+#include <utility>
 
 #include "common.hpp"
-#include "extract/fit.hpp"
+#include "extract/fit_campaign.hpp"
+#include "measure/device_metrics.hpp"
 #include "models/bsim_lite.hpp"
 #include "models/vs_model.hpp"
 #include "util/ascii_plot.hpp"
@@ -14,6 +17,35 @@ using namespace vsstat;
 
 namespace {
 
+/// RMS of ln(Id_vs / Id_golden) over the Id-Vg scan (drain at 0.05 V and
+/// 0.9 V, gate 0.10 -> 0.9 V) and of Id_vs / Id_golden - 1 over the Id-Vd
+/// family (gate 0.5 / 0.7 / 0.9 V): the Fig. 1 curves, scored directly on
+/// the two models.
+std::pair<double, double> curveErrors(const models::MosfetModel& vs,
+                                      const models::MosfetModel& golden,
+                                      const models::DeviceGeometry& geom) {
+  double sumLog = 0.0, sumRel = 0.0;
+  int nLog = 0, nRel = 0;
+  for (double vgs = 0.10; vgs <= 0.9 + 1e-9; vgs += 0.05) {
+    for (const double vds : {0.05, 0.9}) {
+      const double e = std::log(vs.drainCurrent(geom, vgs, vds) /
+                                golden.drainCurrent(geom, vgs, vds));
+      sumLog += e * e;
+      ++nLog;
+    }
+  }
+  for (const double vgs : {0.5, 0.7, 0.9}) {
+    for (double vds = 0.05; vds <= 0.9 + 1e-9; vds += 0.05) {
+      const double e = vs.drainCurrent(geom, vgs, vds) /
+                           golden.drainCurrent(geom, vgs, vds) -
+                       1.0;
+      sumRel += e * e;
+      ++nRel;
+    }
+  }
+  return {std::sqrt(sumLog / nLog), std::sqrt(sumRel / nRel)};
+}
+
 void fitOne(models::DeviceType type) {
   const bool isN = type == models::DeviceType::Nmos;
   const models::BsimLite golden(isN ? bench::goldenKit().nmos
@@ -22,21 +54,37 @@ void fitOne(models::DeviceType type) {
       isN ? models::defaultVsNmos() : models::defaultVsPmos();
   const models::DeviceGeometry geom = models::geometryNm(300, 40);
 
-  const extract::IvFitResult fit = extract::fitVsToGolden(seed, golden, geom);
-  const models::VsModel vs(fit.card);
+  // One-lane campaign on the golden kit's noiseless data.
+  const extract::FitCampaign campaign(seed, geom, extract::goldenVsPlan());
+  const extract::FitCampaignResult fit =
+      campaign.run(1, 0, [&](std::size_t, stats::Rng& rng,
+                             extract::FitDataset& d) {
+        campaign.synthesizeDataset(golden, 0.0, rng, d);
+      });
+  const models::VsParams card = campaign.vsCard(fit, 0);
+  const models::VsModel vs(card);
+  const auto [rmsLog, rmsRel] = curveErrors(vs, golden, geom);
+  const measure::ElectricalTargets tVs = measure::measureTargets(vs, geom, 0.9);
+  const measure::ElectricalTargets tGold =
+      measure::measureTargets(golden, geom, 0.9);
 
   std::cout << "\n--- " << models::toString(type) << " fit (W/L = 300/40 nm) ---\n";
   util::Table summary({"metric", "value"});
-  summary.addRow({"RMS log-space error, Id-Vg", util::formatValue(fit.rmsLogIdVg, 4)});
-  summary.addRow({"RMS relative error, Id-Vd", util::formatValue(fit.rmsRelIdVd, 4)});
-  summary.addRow({"Cgg relative error", util::formatValue(fit.relCggError, 4)});
-  summary.addRow({"LM iterations", std::to_string(fit.iterations)});
-  summary.addRow({"converged", fit.converged ? "yes" : "no"});
-  summary.addRow({"fitted VT0 [V]", util::formatValue(fit.card.vt0, 4)});
-  summary.addRow({"fitted vxo [1e7 cm/s]", util::formatValue(fit.card.vxo / 1e5, 3)});
-  summary.addRow({"fitted mu [cm^2/Vs]", util::formatValue(fit.card.mu * 1e4, 1)});
-  summary.addRow({"fitted n0", util::formatValue(fit.card.n0, 3)});
-  summary.addRow({"fitted beta", util::formatValue(fit.card.beta, 3)});
+  summary.addRow({"RMS log-space error, Id-Vg", util::formatValue(rmsLog, 4)});
+  summary.addRow({"RMS relative error, Id-Vd", util::formatValue(rmsRel, 4)});
+  summary.addRow({"Cgg relative error", util::formatValue(tVs.cgg / tGold.cgg - 1.0, 4)});
+  summary.addRow({"Idsat relative error",
+                  util::formatValue(tVs.idsat / tGold.idsat - 1.0, 4)});
+  summary.addRow({"log10 Ioff error [dec]",
+                  util::formatValue(tVs.log10Ioff - tGold.log10Ioff, 4)});
+  summary.addRow({"LM iterations", std::to_string(fit.iterations[0])});
+  summary.addRow({"outcome", extract::toString(fit.outcomes[0])});
+  summary.addRow({"bound mask", std::to_string(fit.boundMask[0])});
+  summary.addRow({"fitted VT0 [V]", util::formatValue(card.vt0, 4)});
+  summary.addRow({"fitted vxo [1e7 cm/s]", util::formatValue(card.vxo / 1e5, 3)});
+  summary.addRow({"fitted mu [cm^2/Vs]", util::formatValue(card.mu * 1e4, 1)});
+  summary.addRow({"fitted n0", util::formatValue(card.n0, 3)});
+  summary.addRow({"fitted beta", util::formatValue(card.beta, 3)});
   summary.print(std::cout);
 
   // Id-Vg series (vds = 0.05 and 0.9 V), Id-Vd series (vgs = 0.5/0.7/0.9).

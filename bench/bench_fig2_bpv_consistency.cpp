@@ -8,7 +8,6 @@
 #include "common.hpp"
 #include "extract/bpv.hpp"
 #include "util/error.hpp"
-#include "extract/fit.hpp"
 #include "models/bsim_lite.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"

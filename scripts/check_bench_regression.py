@@ -45,7 +45,6 @@ HIGHER_BETTER = (
     "samples_per_sec",
     "fits_per_sec",
     "speedup_vs_scalar",
-    "speedup_vs_scalar_fit",
     "speedup_vs_banked",
     "speedup_vs_rebuild",
     "speedup_vs_fresh",

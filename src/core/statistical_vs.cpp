@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "extract/fit_campaign.hpp"
 #include "mc/providers.hpp"
 #include "models/bsim_lite.hpp"
 #include "models/vs_model.hpp"
@@ -26,7 +27,6 @@ StatisticalVsKit::StatisticalVsKit(models::VsParams nmos,
 StatisticalVsKit StatisticalVsKit::characterize(
     const extract::GoldenKit& golden, const CharacterizeOptions& options) {
   CharacterizeOptions opt = options;
-  opt.fit.vdd = golden.vdd;
   opt.bpv.vdd = golden.vdd;
 
   // Reference geometry for the nominal fit, as in the paper's Fig. 1.
@@ -39,10 +39,17 @@ StatisticalVsKit StatisticalVsKit::characterize(
     const models::BsimParams& goldenCard =
         type == models::DeviceType::Nmos ? golden.nmos : golden.pmos;
 
-    // Step 1 (Fig. 1): fit the nominal VS card to the golden I-V/C-V.
+    // Step 1 (Fig. 1): fit the nominal VS card to the golden I-V/C-V, a
+    // one-lane campaign on the golden kit's noiseless data.
     const models::BsimLite goldenModel(goldenCard);
-    const extract::IvFitResult fit =
-        extract::fitVsToGolden(seed, goldenModel, fitGeom, opt.fit);
+    const extract::FitCampaign fit(seed, fitGeom,
+                                   extract::goldenVsPlan(golden.vdd));
+    const models::VsParams card = fit.vsCard(
+        fit.run(1, 0,
+                [&](std::size_t, stats::Rng& rng, extract::FitDataset& d) {
+                  fit.synthesizeDataset(goldenModel, 0.0, rng, d);
+                }),
+        0);
 
     // Step 2: measure target variances across the geometry set.
     const std::vector<models::DeviceGeometry> geoms =
@@ -68,8 +75,8 @@ StatisticalVsKit StatisticalVsKit::characterize(
                                ? golden.nmosMismatch.aCox
                                : golden.pmosMismatch.aCox;
     }
-    const extract::BpvResult bpv = extract::solveBpv(fit.card, meas, bpvOpt);
-    return std::make_pair(fit.card, bpv.alphas);
+    const extract::BpvResult bpv = extract::solveBpv(card, meas, bpvOpt);
+    return std::make_pair(card, bpv.alphas);
   };
 
   const auto [nCard, nAlphas] = characterizeOne(models::DeviceType::Nmos);

@@ -19,7 +19,6 @@
 
 #include "circuits/provider.hpp"
 #include "extract/bpv.hpp"
-#include "extract/fit.hpp"
 #include "extract/golden_meter.hpp"
 #include "models/process_variation.hpp"
 #include "models/vs_params.hpp"
@@ -34,7 +33,6 @@ struct CharacterizeOptions {
   /// Use analytic golden variances instead of MC (noise-free extraction;
   /// useful for tests and the ablation bench).
   bool analyticGoldenVariance = false;
-  extract::FitOptions fit;
   extract::BpvOptions bpv;
 };
 

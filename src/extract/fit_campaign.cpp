@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 
 #include "models/alpha_power.hpp"
@@ -151,38 +152,68 @@ const char* toString(FitOutcome o) noexcept {
   return "unknown";
 }
 
+namespace {
+
+/// Appends the two-bias Id-Vg transfer scan (drain at vdsLin and at vdd),
+/// gate from vgsFrom up to vdd.
+void addTransferScan(MeasurementGrid& g, double vgsFrom, double vdd,
+                     double vgsStep, double vdsLin, RowKind kind,
+                     double weight) {
+  require(vdd > 0.0, "measurement plan: vdd must be positive");
+  for (double vgs = vgsFrom; vgs <= vdd + 1e-9; vgs += vgsStep) {
+    g.points.push_back({vgs, vdsLin, kind, weight});
+    g.points.push_back({vgs, vdd, kind, weight});
+  }
+}
+
+/// Appends the Id-Vd output family (relative rows) at each gate bias.
+void addOutputFamily(MeasurementGrid& g, std::initializer_list<double> gates,
+                     double vdd, double vdsStep, double weight) {
+  for (const double vgs : gates) {
+    for (double vds = vdsStep; vds <= vdd + 1e-9; vds += vdsStep)
+      g.points.push_back({vgs, vds, RowKind::relCurrent, weight});
+  }
+}
+
+}  // namespace
+
 MeasurementGrid vsMeasurementGrid(double vdd, double vgsStep, double vdsStep,
                                   double vdsLin) {
   MeasurementGrid g;
-  g.vdd = vdd;
-  // Id-Vg transfer scan at linear and saturation drain bias, log space so
-  // subthreshold decades carry weight (the paper fits Ioff AND Ion).
-  for (double vgs = 0.10; vgs <= vdd + 1e-9; vgs += vgsStep) {
-    g.points.push_back({vgs, vdsLin, true});
-    g.points.push_back({vgs, vdd, true});
-  }
-  // Id-Vd output family at three gate overdrives, relative space.
-  for (const double frac : {0.56, 0.78, 1.0}) {
-    const double vgs = frac * vdd;
-    for (double vds = vdsStep; vds <= vdd + 1e-9; vds += vdsStep)
-      g.points.push_back({vgs, vds, false});
-  }
+  // Id-Vg transfer scan, log space so subthreshold decades carry weight
+  // (the paper fits Ioff AND Ion); output family at three overdrives.
+  addTransferScan(g, 0.10, vdd, vgsStep, vdsLin, RowKind::logCurrent, 0.55);
+  addOutputFamily(g, {0.56 * vdd, 0.78 * vdd, 1.0 * vdd}, vdd, vdsStep, 1.5);
+  g.points.push_back({vdd, vdd, RowKind::cgg, 4.0});
   return g;
 }
 
 MeasurementGrid strongInversionGrid(double vdd, double vgsStep, double vdsStep,
                                     double vdsLin) {
   MeasurementGrid g;
-  g.vdd = vdd;
-  for (double vgs = 0.45 * vdd; vgs <= vdd + 1e-9; vgs += vgsStep) {
-    g.points.push_back({vgs, vdsLin, false});
-    g.points.push_back({vgs, vdd, false});
-  }
-  for (const double frac : {0.6, 0.8, 1.0}) {
-    const double vgs = frac * vdd;
-    for (double vds = vdsStep; vds <= vdd + 1e-9; vds += vdsStep)
-      g.points.push_back({vgs, vds, false});
-  }
+  addTransferScan(g, 0.45 * vdd, vdd, vgsStep, vdsLin, RowKind::relCurrent,
+                  1.5);
+  addOutputFamily(g, {0.6 * vdd, 0.8 * vdd, 1.0 * vdd}, vdd, vdsStep, 1.5);
+  g.points.push_back({vdd, vdd, RowKind::cgg, 4.0});
+  return g;
+}
+
+MeasurementGrid goldenVsPlan(double vdd) {
+  MeasurementGrid g;
+  addTransferScan(g, 0.10, vdd, 0.05, 0.05, RowKind::logCurrent, 0.55);
+  addOutputFamily(g, {0.5, 0.7, 0.9}, vdd, 0.05, 1.5);
+  g.points.push_back({vdd, 0.0, RowKind::cgg, 4.0});
+  g.points.push_back({vdd, vdd, RowKind::relCurrent, 8.0});  // Idsat
+  g.points.push_back({0.0, vdd, RowKind::logCurrent, 5.0});  // Ioff
+  return g;
+}
+
+MeasurementGrid goldenAlphaPowerPlan(double vdd) {
+  MeasurementGrid g;
+  addTransferScan(g, 0.45 * vdd, vdd, 0.05, 0.05, RowKind::relCurrent, 1.0);
+  addOutputFamily(g, {0.6 * vdd, 0.8 * vdd, 1.0 * vdd}, vdd, 0.05, 1.0);
+  g.points.push_back({vdd, 0.0, RowKind::cgg, 4.0});
+  g.points.push_back({vdd, vdd, RowKind::relCurrent, 8.0});  // Idsat
   return g;
 }
 
@@ -215,57 +246,61 @@ std::uint64_t FitCampaignResult::paramsFnv1a() const noexcept {
 }
 
 /// Per-worker fit state: the worker-owned card, the bias-point device bank
-/// over it, the solver workspace and the lane dataset.  One engine is
-/// materialized lazily per (worker thread, run) and reused for every lane
-/// that worker executes, so a steady-state fit allocates nothing.
+/// over it (one bank lane per plan row), the solver workspace and the lane
+/// dataset.  One engine is materialized lazily per (worker thread, run) and
+/// reused for every lane that worker executes, so a steady-state fit
+/// allocates nothing.
 struct LaneEngine {
   explicit LaneEngine(const FitCampaign& campaign)
       : owner(&campaign),
         spec(specFor(campaign.family_)),
         model(campaign.seed_->clone()),
-        pointCount(campaign.grid_.points.size()) {
-    const std::size_t lanes = pointCount + 1;  // + the Cgg anchor lane
-    vgs.resize(lanes);
-    vds.resize(lanes);
-    evals.resize(lanes);
-    for (std::size_t i = 0; i < pointCount; ++i) {
+        rowCount(campaign.grid_.points.size()) {
+    vgs.resize(rowCount);
+    vds.resize(rowCount);
+    evals.resize(rowCount);
+    for (std::size_t i = 0; i < rowCount; ++i) {
       vgs[i] = campaign.grid_.points[i].vgs;
       vds[i] = campaign.grid_.points[i].vds;
     }
-    vgs[pointCount] = campaign.grid_.vdd;
-    vds[pointCount] = campaign.grid_.vdd;
-    bank = models::makeUniformLoadBank(*model, campaign.geometry_, lanes,
+    bank = models::makeUniformLoadBank(*model, campaign.geometry_, rowCount,
                                        campaign.options_.numerics);
-    dataset.id.resize(pointCount);
+    dataset.id.resize(rowCount);
     residual = [this](const linalg::Vector& x, linalg::Vector& r) {
       response(x, r);
     };
   }
 
   /// The campaign residual: write the trial parameters into the worker
-  /// card, re-derive the bank ONCE for all bias lanes (rebindUniform), then
-  /// evaluate the whole I-V grid plus the Cgg anchor in one batched call.
+  /// card, re-derive the bank ONCE for all rows (rebindUniform), evaluate
+  /// the whole plan in one batched call, then weigh each row by its kind.
   void response(const linalg::Vector& x, linalg::Vector& r) {
     spec.write(x, *model);
     require(bank->rebindUniform(*model, owner->geometry_),
             "FitCampaign: bank rejected its own card type");
     bank->evaluateLoadBatch(vgs, vds, kLoadFdStep, evals);
-    const MeasurementGrid& g = owner->grid_;
-    for (std::size_t i = 0; i < pointCount; ++i) {
-      const double id = evals[i].at.id;
+    const std::vector<IvPoint>& rows = owner->grid_.points;
+    for (std::size_t i = 0; i < rowCount; ++i) {
       const double d = dataset.id[i];
-      r[i] = g.points[i].logSpace
-                 ? g.logWeight * std::log(std::max(id, kIdFloor) / d)
-                 : g.relWeight * (id / d - 1.0);
+      switch (rows[i].kind) {
+        case RowKind::logCurrent:
+          r[i] = rows[i].weight *
+                 std::log(std::max(evals[i].at.id, kIdFloor) / d);
+          break;
+        case RowKind::relCurrent:
+          r[i] = rows[i].weight * (evals[i].at.id / d - 1.0);
+          break;
+        case RowKind::cgg:
+          r[i] = rows[i].weight * (evals[i].dqgVgs / d - 1.0);
+          break;
+      }
     }
-    r[pointCount] =
-        g.cggWeight * (evals[pointCount].dqgVgs / dataset.cgg - 1.0);
   }
 
   const FitCampaign* owner;
   const FamilySpec& spec;
   std::unique_ptr<models::MosfetModel> model;
-  std::size_t pointCount;
+  std::size_t rowCount;
   std::unique_ptr<models::MosfetLoadBank> bank;
   std::vector<double> vgs, vds;
   std::vector<models::MosfetLoadEvaluation> evals;
@@ -337,11 +372,10 @@ FitCampaign::~FitCampaign() = default;
 void FitCampaign::finishInit() {
   id_ = gCampaignCounter.fetch_add(1, std::memory_order_relaxed) + 1;
   require(!grid_.points.empty(), "FitCampaign: measurement grid is empty");
-  require(grid_.vdd > 0.0, "FitCampaign: vdd must be positive");
   require(geometry_.width > 0.0 && geometry_.length > 0.0,
           "FitCampaign: geometry must be positive");
-  require(options_.maxIterations > 0,
-          "FitCampaign: maxIterations must be positive");
+  require(options_.maxIterations >= 0,
+          "FitCampaign: maxIterations must not be negative");
   const FamilySpec& spec = specFor(family_);
   lmOptions_ = options_.levmar;
   lmOptions_.maxIterations = options_.maxIterations;
@@ -394,9 +428,8 @@ FitCampaignResult FitCampaign::run(std::size_t laneCount, std::uint64_t seed,
         LaneEngine& e = *slot.engine;
 
         stats::Rng rng = root.fork(lane);
-        e.dataset.cgg = 0.0;
         makeDataset(lane, rng, e.dataset);
-        require(e.dataset.id.size() == e.pointCount,
+        require(e.dataset.id.size() == e.rowCount,
                 "FitCampaign: dataset resized away from the grid");
 
         double* out = res.params.data() + lane * n;
@@ -411,7 +444,7 @@ FitCampaignResult FitCampaign::run(std::size_t laneCount, std::uint64_t seed,
         };
 
         try {
-          linalg::levenbergMarquardt(e.residual, x0_, e.pointCount + 1,
+          linalg::levenbergMarquardt(e.residual, x0_, e.rowCount,
                                      lmOptions_, e.ws, e.lm);
         } catch (const SingularMatrixError& err) {
           fail(FitOutcome::singularJtJ, err.iterations(), err.what());
@@ -468,17 +501,13 @@ void FitCampaign::synthesizeDataset(const models::MosfetModel& truth,
   const std::size_t count = grid_.points.size();
   out.id.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const models::MosfetLoadEvaluation ev = truth.evaluateLoad(
-        geometry_, grid_.points[i].vgs, grid_.points[i].vds, kLoadFdStep);
-    double id = ev.at.id;
-    if (noiseRel > 0.0) id *= std::exp(noiseRel * rng.normal());
-    out.id[i] = id;
+    const IvPoint& row = grid_.points[i];
+    const models::MosfetLoadEvaluation ev =
+        truth.evaluateLoad(geometry_, row.vgs, row.vds, kLoadFdStep);
+    double value = row.kind == RowKind::cgg ? ev.dqgVgs : ev.at.id;
+    if (noiseRel > 0.0) value *= std::exp(noiseRel * rng.normal());
+    out.id[i] = value;
   }
-  const models::MosfetLoadEvaluation anchor =
-      truth.evaluateLoad(geometry_, grid_.vdd, grid_.vdd, kLoadFdStep);
-  double cgg = anchor.dqgVgs;
-  if (noiseRel > 0.0) cgg *= std::exp(noiseRel * rng.normal());
-  out.cgg = cgg;
 }
 
 models::VsParams FitCampaign::vsCard(const FitCampaignResult& r,

@@ -69,45 +69,69 @@ inline constexpr int kFitOutcomeCount = 5;
 
 [[nodiscard]] const char* toString(FitOutcome o) noexcept;
 
-/// One bias point of the campaign's shared measurement plan.
+/// How one plan row compares the model with its measurement.
+enum class RowKind {
+  logCurrent,  ///< ln(Id / Id_meas): subthreshold decades count
+  relCurrent,  ///< Id / Id_meas - 1
+  cgg,         ///< Cgg / Cgg_meas - 1, with Cgg = dQg/dVgs
+};
+
+/// One row of a measurement plan: a bias point, what is measured there,
+/// and the weight of its residual.
 struct IvPoint {
   double vgs = 0.0;
   double vds = 0.0;
-  bool logSpace = false;  ///< subthreshold/transfer points compare in log space
+  RowKind kind = RowKind::relCurrent;
+  double weight = 1.0;
 };
 
-/// The measurement plan every lane shares: bias points, the Cgg anchor at
-/// (vdd, vdd), and the residual weights (same scheme as extract::fit).
+/// The measurement plan every lane shares, one residual per row.
 struct MeasurementGrid {
   std::vector<IvPoint> points;
-  double vdd = 0.9;
-  double logWeight = 0.55;  ///< weight of log-space Id residuals
-  double relWeight = 1.5;   ///< weight of relative-space Id residuals
-  double cggWeight = 4.0;   ///< weight of the single Cgg point
 };
 
-/// The full-pipeline VS plan: two-bias Id-Vg scan (log space, subthreshold
-/// decades count) plus a three-gate-bias Id-Vd family (relative space).
+/// The full-pipeline VS plan: two-bias Id-Vg scan (log rows, weight 0.55,
+/// so subthreshold decades count), a three-gate-bias Id-Vd family
+/// (relative rows, weight 1.5), then one Cgg row at (vdd, vdd), weight 4.
 [[nodiscard]] MeasurementGrid vsMeasurementGrid(double vdd = 0.9,
                                                 double vgsStep = 0.1,
                                                 double vdsStep = 0.1,
                                                 double vdsLin = 0.05);
 
-/// Strong-inversion-only plan (all relative space) for families with no
-/// subthreshold conduction to fit (alpha-power law).
+/// Strong-inversion-only plan (relative rows, weight 1.5, plus the Cgg row
+/// at (vdd, vdd), weight 4) for families with no subthreshold conduction to
+/// fit (alpha-power law).
 [[nodiscard]] MeasurementGrid strongInversionGrid(double vdd = 0.9,
                                                   double vgsStep = 0.1,
                                                   double vdsStep = 0.1,
                                                   double vdsLin = 0.05);
 
-/// One lane's measurements on the campaign grid.
+/// The paper's Fig. 1 nominal-fit plan for the VS family against the golden
+/// kit: the 0.05 V-pitch Id-Vg scan at 0.05 V and vdd drain bias (log rows,
+/// weight 0.55), the Id-Vd family at gate biases 0.5 / 0.7 / 0.9 V
+/// (relative rows, weight 1.5), then the BPV targets as heavy anchors:
+/// Cgg at (vdd, 0) (weight 4), Idsat at (vdd, vdd) (relative, weight 8)
+/// and Ioff at (0, vdd) (log, weight 5).  The BPV sensitivities are
+/// evaluated on the card this plan fits, so the anchors must hold tightly
+/// even where the VS and golden transport cannot agree everywhere.
+[[nodiscard]] MeasurementGrid goldenVsPlan(double vdd = 0.9);
+
+/// The alpha-power counterpart: the strong-inversion rows at 0.05 V pitch
+/// (weight 1), Cgg at (vdd, 0) (weight 4) and Idsat at (vdd, vdd) (weight
+/// 8).  No subthreshold rows -- the alpha-power law has no subthreshold
+/// conduction, the limitation the paper holds against empirical
+/// ultra-compact models.
+[[nodiscard]] MeasurementGrid goldenAlphaPowerPlan(double vdd = 0.9);
+
+/// One lane's measurements on the campaign plan.
 struct FitDataset {
-  std::vector<double> id;  ///< drain current per grid point [A]
-  double cgg = 0.0;        ///< gate capacitance at (vdd, vdd) [F]
+  /// Measured value per plan row: drain current [A] on current rows, gate
+  /// capacitance [F] on Cgg rows.
+  std::vector<double> id;
 };
 
 struct FitCampaignOptions {
-  int maxIterations = 60;
+  int maxIterations = 60;  ///< 0 scores the seed card without moving it
   unsigned threads = 0;  ///< parallelFor workers; 0 = hardware concurrency
   models::NumericsMode numerics = models::NumericsMode::reference;
   /// Solver options; empty bounds are filled with the family's physical
@@ -187,9 +211,9 @@ class FitCampaign {
                                       const DatasetFn& makeDataset) const;
 
   /// Synthesizes one lane's dataset from a truth card: evaluates the truth
-  /// model on the campaign grid (same evaluation path the fit uses) and
+  /// model on every plan row (same evaluation path the fit uses) and
   /// applies multiplicative log-normal measurement noise of relative sigma
-  /// `noiseRel` (0 = noiseless).
+  /// `noiseRel` (0 = noiseless, which is how a golden-kit fit is run).
   void synthesizeDataset(const models::MosfetModel& truth, double noiseRel,
                          stats::Rng& rng, FitDataset& out) const;
 

@@ -1,10 +1,10 @@
 // Levenberg–Marquardt nonlinear least squares with numeric Jacobian and
 // box constraints (projected/clamped trial steps).
 //
-// Used to fit the nominal VS model card to the golden kit's I-V data (the
-// step the paper shows in Fig. 1) and, at campaign volume, by the banked
-// multi-fit extraction engine (extract::FitCampaign), which runs thousands
-// of small independent fits.  For that workload the solver exposes a
+// Used by the banked multi-fit extraction engine (extract::FitCampaign),
+// which fits the nominal VS card to the golden kit's I-V data (the step
+// the paper shows in Fig. 1) and runs campaigns of thousands of small
+// independent fits.  For that workload the solver exposes a
 // reusable workspace form: all scratch (residuals, Jacobian, normal
 // equations, pivot array) lives in a caller-owned LevMarWorkspace, so a
 // steady-state fit performs zero heap allocations.

@@ -40,7 +40,8 @@ struct AlphaPowerParams {
 };
 
 /// Seed cards in the same 40-nm-class ballpark as the VS/golden cards;
-/// intended as LM starting points for fitAlphaPowerToGolden().
+/// intended as LM starting points for the golden alpha-power fit
+/// (extract::goldenAlphaPowerPlan).
 [[nodiscard]] AlphaPowerParams defaultAlphaNmos();
 [[nodiscard]] AlphaPowerParams defaultAlphaPmos();
 

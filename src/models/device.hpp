@@ -57,14 +57,6 @@ struct MosfetEvaluation {
   double qs = 0.0;  ///< source terminal charge [C]
 };
 
-/// The three evaluations one Newton load needs: the bias point itself plus
-/// the forward-difference points for the gate and drain derivatives.
-struct MosfetDerivEvaluation {
-  MosfetEvaluation base;
-  MosfetEvaluation gateStep;   ///< at (vgs + step, vds)
-  MosfetEvaluation drainStep;  ///< at (vgs, vds + step)
-};
-
 /// Everything one Newton load consumes: the evaluation at the bias point
 /// plus the current/charge derivatives w.r.t. the call's (vgs, vds) inputs.
 struct MosfetLoadEvaluation {
@@ -181,16 +173,9 @@ class MosfetModel {
   [[nodiscard]] virtual double drainCurrent(const DeviceGeometry& geom,
                                             double vgs, double vds) const;
 
-  /// Batched evaluation for one Newton load: the bias point plus the two
-  /// forward-difference points.  The default simply calls evaluate() three
-  /// times; models with internal iterations (series-resistance loops)
-  /// override it to share work between the three nearby points.
-  [[nodiscard]] virtual MosfetDerivEvaluation evaluateForNewton(
-      const DeviceGeometry& geom, double vgs, double vds, double step) const;
-
   /// The Newton-load entry point: evaluation plus current/charge
   /// derivatives.  The default forms forward differences (step `fdStep`)
-  /// from evaluateForNewton(); models with cheap analytic derivatives (the
+  /// from three evaluate() calls; models with cheap analytic derivatives (the
   /// VS model) override it, which is the single biggest win on the circuit
   /// hot path.  Derivatives must stay consistent with evaluate() to the
   /// accuracy the Newton iteration needs (a few percent), not bit-exactly.

@@ -129,8 +129,7 @@ Intrinsic intrinsic(const VsParams& p, const Derived& d, double vgs,
 }
 
 double solveSeriesCurrent(const VsParams& p, const DeviceGeometry& geom,
-                          const Derived& d, double vgs, double vds,
-                          const double* warmStart) {
+                          const Derived& d, double vgs, double vds) {
   // Per-instance resistances: cards carry R*W [Ohm m].
   const double rsOhm = p.rs / geom.width;
   const double rdOhm = p.rd / geom.width;
@@ -150,18 +149,9 @@ double solveSeriesCurrent(const VsParams& p, const DeviceGeometry& geom,
            geom.width;
   };
 
-  double i0, h0, i1;
-  if (warmStart != nullptr) {
-    // A nearby bias was just solved (Newton finite-difference point): start
-    // the secant from its current, which lands within one or two updates.
-    i0 = *warmStart;
-    h0 = evalCurrent(i0) - i0;
-    i1 = i0 + h0;
-  } else {
-    i0 = 0.0;
-    h0 = evalCurrent(0.0);  // = f(0)
-    i1 = h0;                // start at f(0)
-  }
+  double i0 = 0.0;
+  double h0 = evalCurrent(0.0);  // = f(0)
+  double i1 = h0;                // start at f(0)
   for (int it = 0; it < 6; ++it) {
     const double h1 = evalCurrent(i1) - i1;
     if (std::fabs(h1) < 1e-13 + 1e-6 * std::fabs(i1)) break;
@@ -181,12 +171,11 @@ double solveSeriesCurrent(const VsParams& p, const DeviceGeometry& geom,
 
 /// Full intrinsic solution with the IR drop resolved.
 Intrinsic solveWithSeriesR(const VsParams& p, const DeviceGeometry& geom,
-                           const Derived& d, double vgs, double vds,
-                           const double* warmStart) {
+                           const Derived& d, double vgs, double vds) {
   if (p.rs <= 0.0 && p.rd <= 0.0)
     return intrinsic(p, d, vgs, vds, /*withCharges=*/true);
 
-  const double i1 = solveSeriesCurrent(p, geom, d, vgs, vds, warmStart);
+  const double i1 = solveSeriesCurrent(p, geom, d, vgs, vds);
   const double rsOhm = p.rs / geom.width;
   const double rdOhm = p.rd / geom.width;
   const double vgsInt = vgs - i1 * rsOhm;
@@ -197,19 +186,14 @@ Intrinsic solveWithSeriesR(const VsParams& p, const DeviceGeometry& geom,
   return result;
 }
 
-/// Canonicalization + Ward-Dutton partition shared by evaluate() and
-/// evaluateForNewton().  `warmCurrent` (if non-null) carries the previous
-/// nearby solve's canonical current in, and the present one out.
+/// Canonicalization + Ward-Dutton partition of evaluate().
 MosfetEvaluation evaluateImpl(const VsParams& p, const DeviceGeometry& geom,
-                              const Derived& d, double vgs, double vds,
-                              double* warmCurrent, bool useWarm) {
+                              const Derived& d, double vgs, double vds) {
   const bool reversed = vds < 0.0;
   const double cvgs = reversed ? vgs - vds : vgs;
   const double cvds = reversed ? -vds : vds;
 
-  const double* warm = useWarm ? warmCurrent : nullptr;
-  const Intrinsic in = solveWithSeriesR(p, geom, d, cvgs, cvds, warm);
-  if (warmCurrent != nullptr) *warmCurrent = in.idPerWidth * geom.width;
+  const Intrinsic in = solveWithSeriesR(p, geom, d, cvgs, cvds);
 
   const double w = geom.width;
   const double l = geom.length;
@@ -905,42 +889,20 @@ double VsModel::drainCurrent(const DeviceGeometry& geom, double vgs,
   }
   if (vds < 0.0) {
     // Source/drain role reversal (device is symmetric).
-    return -solveSeriesCurrent(params_, geom, d, vgs - vds, -vds, nullptr);
+    return -solveSeriesCurrent(params_, geom, d, vgs - vds, -vds);
   }
-  return solveSeriesCurrent(params_, geom, d, vgs, vds, nullptr);
+  return solveSeriesCurrent(params_, geom, d, vgs, vds);
 }
 
 MosfetEvaluation VsModel::evaluate(const DeviceGeometry& geom, double vgs,
                                    double vds) const {
-  return evaluateImpl(params_, geom, derive(params_, geom), vgs, vds, nullptr,
-                      false);
+  return evaluateImpl(params_, geom, derive(params_, geom), vgs, vds);
 }
 
 MosfetLoadEvaluation VsModel::evaluateLoad(const DeviceGeometry& geom,
                                            double vgs, double vds,
                                            double /*fdStep*/) const {
   return evaluateLoadCard(makeLoadCard(params_, geom), vgs, vds);
-}
-
-MosfetDerivEvaluation VsModel::evaluateForNewton(const DeviceGeometry& geom,
-                                                 double vgs, double vds,
-                                                 double step) const {
-  const Derived d = derive(params_, geom);
-  const bool baseReversed = vds < 0.0;
-
-  MosfetDerivEvaluation out;
-  double warm = 0.0;
-  out.base = evaluateImpl(params_, geom, d, vgs, vds, &warm, false);
-  // The finite-difference points sit 1 mV from the base bias, so the base
-  // current is an excellent secant seed -- as long as the polarity
-  // canonicalization did not flip between the two points.
-  out.gateStep = evaluateImpl(params_, geom, d, vgs + step, vds, &warm,
-                              /*useWarm=*/true);
-  const bool drainReversed = (vds + step) < 0.0;
-  double warmDrain = warm;
-  out.drainStep = evaluateImpl(params_, geom, d, vgs, vds + step, &warmDrain,
-                               /*useWarm=*/drainReversed == baseReversed);
-  return out;
 }
 
 }  // namespace vsstat::models

@@ -45,13 +45,6 @@ class VsModel final : public MosfetModel {
   [[nodiscard]] double drainCurrent(const DeviceGeometry& geom, double vgs,
                                     double vds) const override;
 
-  /// Newton-load hot path: shares the per-geometry derived parameters
-  /// between the three bias points and warm-starts the series-resistance
-  /// secant of the two forward-difference points from the base solution.
-  [[nodiscard]] MosfetDerivEvaluation evaluateForNewton(
-      const DeviceGeometry& geom, double vgs, double vds,
-      double step) const override;
-
   /// Analytic Newton-load evaluation: the full derivative chain of the VS
   /// equations closes in a handful of multiplies with no extra
   /// transcendentals, and the series-resistance fixed point is solved with

@@ -62,7 +62,7 @@ struct VsParams {
 
 /// Nominal 40-nm-class cards.  These are the *seed* values; the cards used
 /// by the reproduction benches are re-fitted against the golden BsimLite
-/// kit (extract/fit, paper Fig. 1) before statistical work.
+/// kit (extract::goldenVsPlan, paper Fig. 1) before statistical work.
 [[nodiscard]] VsParams defaultVsNmos();
 [[nodiscard]] VsParams defaultVsPmos();
 

@@ -5,11 +5,13 @@
 //   * box bounds respected -- pinned lanes are reported, never violated,
 //   * bit-identical campaigns across 1/2/4 workers,
 //   * per-class failure accounting on an injected bad-data lane,
-//   * population sigma round-trips through synthesize -> re-extract.
+//   * population sigma round-trips through synthesize -> re-extract,
+//   * a lane's reported cost is the weighted row sum computed by hand.
 #include "extract/fit_campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -244,6 +246,45 @@ TEST(FitCampaign, SigmaRoundTripsThroughExtraction) {
   const double sigmaOut = std::sqrt(std::max(var, 0.0));
   EXPECT_NEAR(mean, seed.vt0, 0.01);
   EXPECT_NEAR(sigmaOut, sigmaIn, 0.25 * sigmaIn);
+}
+
+TEST(FitCampaign, ReportedCostIsWeightedRowSumAtFixedCard) {
+  // A zero iteration budget scores the (clamped) seed card without moving
+  // it.  The reported cost must then equal 0.5 * sum (w_i rho_i)^2 built by
+  // hand from one MosfetModel::evaluateLoad per row, on a plan with every
+  // row kind and on data the card does not fit.
+  const models::VsParams seed;
+  FitCampaignOptions opt;
+  opt.threads = 1;
+  opt.maxIterations = 0;
+  const FitCampaign c(seed, nominalGeom(), goldenVsPlan(), opt);
+  const models::BsimLite truth(models::BsimParams{});
+  FitDataset data;
+  const FitCampaignResult r =
+      c.run(1, 9, [&](std::size_t, stats::Rng& rng, FitDataset& d) {
+        c.synthesizeDataset(truth, 0.01, rng, d);
+        data = d;
+      });
+  ASSERT_EQ(r.iterations[0], 0);
+
+  const models::VsModel card(c.vsCard(r, 0));
+  double sum = 0.0;
+  for (std::size_t i = 0; i < c.grid().points.size(); ++i) {
+    const IvPoint& row = c.grid().points[i];
+    const models::MosfetLoadEvaluation ev =
+        card.evaluateLoad(nominalGeom(), row.vgs, row.vds, 1e-3);
+    double rho = 0.0;
+    switch (row.kind) {
+      case RowKind::logCurrent:
+        rho = std::log(std::max(ev.at.id, 1e-18) / data.id[i]);
+        break;
+      case RowKind::relCurrent: rho = ev.at.id / data.id[i] - 1.0; break;
+      case RowKind::cgg: rho = ev.dqgVgs / data.id[i] - 1.0; break;
+    }
+    sum += (row.weight * rho) * (row.weight * rho);
+  }
+  ASSERT_GT(sum, 0.0);
+  EXPECT_NEAR(r.cost[0], 0.5 * sum, 1e-12 * 0.5 * sum);
 }
 
 TEST(FitCampaign, ValidatesConstruction) {

@@ -5,7 +5,8 @@
 
 #include <cmath>
 
-#include "extract/fit.hpp"
+#include "extract/fit_campaign.hpp"
+#include "measure/device_metrics.hpp"
 #include "models/alpha_power.hpp"
 #include "models/bsim_lite.hpp"
 #include "models/geometry.hpp"
@@ -132,18 +133,57 @@ TEST(AlphaPower, CloneIsIndependent) {
             copy->drainCurrent(kGeom, 0.9, 0.9));
 }
 
+/// One-lane FitCampaign of the alpha-power card on the golden plan.
+struct AlphaFit {
+  extract::FitCampaignResult result;
+  AlphaPowerParams card;
+};
+
+AlphaFit fitAlphaToGolden(const AlphaPowerParams& seed,
+                          const MosfetModel& golden) {
+  const extract::FitCampaign campaign(seed, kGeom,
+                                      extract::goldenAlphaPowerPlan());
+  AlphaFit fit;
+  fit.result = campaign.run(
+      1, 0, [&](std::size_t, stats::Rng& rng, extract::FitDataset& d) {
+        campaign.synthesizeDataset(golden, 0.0, rng, d);
+      });
+  fit.card = campaign.alphaCard(fit.result, 0);
+  return fit;
+}
+
+/// RMS relative error over the golden plan's Id-Vd family (gate 0.54 /
+/// 0.72 / 0.9 V, drain 0.05 -> 0.9 V).
+double rmsRelIdVd(const MosfetModel& fit, const MosfetModel& golden) {
+  double sum = 0.0;
+  int n = 0;
+  for (const double frac : {0.6, 0.8, 1.0}) {
+    for (double vds = 0.05; vds <= 0.9 + 1e-9; vds += 0.05) {
+      const double e = fit.drainCurrent(kGeom, frac * 0.9, vds) /
+                           golden.drainCurrent(kGeom, frac * 0.9, vds) -
+                       1.0;
+      sum += e * e;
+      ++n;
+    }
+  }
+  return std::sqrt(sum / n);
+}
+
 TEST(AlphaPowerFit, TracksGoldenStrongInversion) {
   const BsimLite golden(defaultBsimNmos());
-  const extract::AlphaFitResult fit =
-      extract::fitAlphaPowerToGolden(defaultAlphaNmos(), golden, kGeom);
-  EXPECT_TRUE(fit.converged);
+  const AlphaFit fit = fitAlphaToGolden(defaultAlphaNmos(), golden);
+  EXPECT_EQ(fit.result.outcomes[0], extract::FitOutcome::converged)
+      << extract::toString(fit.result.outcomes[0]);
   // The alpha-power law is a 6-parameter empirical curve: expect a usable
   // (not perfect) strong-inversion match.
-  EXPECT_LT(fit.rmsRelIdVd, 0.15);
-  EXPECT_LT(std::fabs(fit.relCggError), 0.10);
+  const AlphaPowerModel fitted(fit.card);
+  EXPECT_LT(rmsRelIdVd(fitted, golden), 0.15);
+  EXPECT_LT(std::fabs(measure::cggAtVdd(fitted, kGeom, 0.9) /
+                          measure::cggAtVdd(golden, kGeom, 0.9) -
+                      1.0),
+            0.10);
 
   // Idsat anchor: the fitted card lands near the golden on-current.
-  const AlphaPowerModel fitted(fit.card);
   const double idFit = fitted.drainCurrent(kGeom, 0.9, 0.9);
   const double idGold = golden.drainCurrent(kGeom, 0.9, 0.9);
   EXPECT_NEAR(idFit / idGold, 1.0, 0.05);
@@ -151,10 +191,10 @@ TEST(AlphaPowerFit, TracksGoldenStrongInversion) {
 
 TEST(AlphaPowerFit, PmosAlsoFits) {
   const BsimLite golden(defaultBsimPmos());
-  const extract::AlphaFitResult fit =
-      extract::fitAlphaPowerToGolden(defaultAlphaPmos(), golden, kGeom);
-  EXPECT_TRUE(fit.converged);
-  EXPECT_LT(fit.rmsRelIdVd, 0.15);
+  const AlphaFit fit = fitAlphaToGolden(defaultAlphaPmos(), golden);
+  EXPECT_EQ(fit.result.outcomes[0], extract::FitOutcome::converged)
+      << extract::toString(fit.result.outcomes[0]);
+  EXPECT_LT(rmsRelIdVd(AlphaPowerModel(fit.card), golden), 0.15);
 }
 
 }  // namespace
